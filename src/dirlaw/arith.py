@@ -32,14 +32,15 @@ class SpfSieve:
     """Smallest prime factor for every 2 <= n <= limit.
 
     ``spf[n]`` is the least prime dividing n; entries 0 and 1 are 0.
+    A limit of 1 holds only the sentinels.
     """
 
     limit: int
     spf: np.ndarray
 
     def __post_init__(self):
-        if self.limit < 2:
-            raise DomainError("sieve limit must be at least 2")
+        if self.limit < 1:
+            raise DomainError("sieve limit must be at least 1")
         if len(self.spf) != self.limit + 1:
             raise IntegrityError("sieve array length must be limit + 1")
 
@@ -54,8 +55,8 @@ class FactoredInteger:
 
 def build_spf_sieve(x: int) -> SpfSieve:
     """Sieve smallest prime factors up to x (refused above 1e8)."""
-    if x < 2:
-        raise DomainError("sieve limit must be at least 2")
+    if x < 1:
+        raise DomainError("sieve limit must be at least 1")
     if x > _SIEVE_LIMIT:
         raise ResourceError(f"sieve limit {x} exceeds the 1e8 guard")
     spf = np.arange(x + 1, dtype=np.uint32)
@@ -120,9 +121,69 @@ def tau_real(fn: FactoredInteger, lam) -> "Fraction | float":
         raise DomainError("the weight parameter must be positive")
     out = Fraction(1) if isinstance(lam, Fraction) else 1.0
     for _, v in fn.factors:
-        for j in range(1, v + 1):
-            out = out * (lam + j - 1) / j
+        out = out * rising_binoms(lam, v)[v]
     return out
+
+
+def rising_binoms(a, m: int) -> list:
+    """C(a + j - 1, j) = prod_{i<=j} (a + i - 1) / i for j = 0..m.
+
+    Each entry extends the previous one by a single factor, so the whole
+    prefix table costs O(m).  Exact when ``a`` is a Fraction, floating
+    otherwise.
+    """
+    out = [Fraction(1) if isinstance(a, Fraction) else 1.0]
+    for j in range(1, m + 1):
+        out.append(out[-1] * (a + j - 1) / j)
+    return out
+
+
+def _comb_vec(v: np.ndarray, k: int) -> np.ndarray:
+    """C(v + k - 1, k - 1) elementwise for small k; exact int64."""
+    out = np.ones_like(v)
+    for j in range(1, k):
+        out = out * (v + j) // j
+    return out
+
+
+class JointTau:
+    """tau_k(m * n) for n = 1..limit, from the prime exponents of m.
+
+    The base row tau_k(n) is built once; ``row`` then swaps, at every
+    prime p of m, the local factor C(v_p(n) + k - 1, k - 1) for
+    C(v_p(n) + v_p(m) + k - 1, k - 1).  Every step is an exact int64
+    division or product, so the row is exact whatever the prime order.
+    """
+
+    def __init__(self, limit: int, k: int, sieve: SpfSieve):
+        base = np.ones(limit + 1, dtype=np.int64)
+        for n in range(2, limit + 1):
+            base[n] = tau_k(factorize(n, sieve), k)
+        self.limit = limit
+        self.k = k
+        self._base = base[1:]
+        self._vp: dict[int, np.ndarray] = {}
+
+    def _vp_row(self, p: int) -> np.ndarray:
+        """v_p(n) for n = 1..limit, cached per prime."""
+        arr = self._vp.get(p)
+        if arr is None:
+            arr = np.zeros(self.limit + 1, dtype=np.int64)
+            q = p
+            while q <= self.limit:
+                arr[q:: q] += 1
+                q *= p
+            arr = self._vp[p] = arr[1:]
+        return arr
+
+    def row(self, exps: dict[int, int]) -> np.ndarray:
+        """tau_k(m * n) for n = 1..limit, where m = prod p^exps[p]."""
+        taus = self._base.copy()
+        for p, v_m in exps.items():
+            v_n = self._vp_row(p)
+            taus = taus // _comb_vec(v_n, self.k) \
+                * _comb_vec(v_n + v_m, self.k)
+        return taus
 
 
 @lru_cache(maxsize=4096)
@@ -256,12 +317,12 @@ def model_tau_weights(theta, lambdas: Sequence) -> WeightModel:
     lam_sum = sum(lams)
 
     def f_local(p, v, _th=th):
-        return _binom_frac(_th, v)
+        return rising_binoms(_th, v)[v]
 
     def g_local(p, comp, _lams=lams):
         out = Fraction(1)
         for lam, a in zip(_lams, comp):
-            out *= _binom_frac(lam, a)
+            out *= rising_binoms(lam, a)[a]
         return out
 
     alpha = tuple(th * lam / lam_sum for lam in lams)
@@ -399,11 +460,13 @@ def _check_k(k: int):
         raise DomainError("k must lie in [2, 5]")
 
 
-def _binom_frac(lam: Fraction, v: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(1, v + 1):
-        out = out * (lam + j - 1) / j
-    return out
+def _model_arg(convert, text: str):
+    """Convert one piece of a model spelling; malformed text is a domain
+    error, not a crash."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"malformed model argument {text!r}") from None
 
 
 def parse_model(text: str, k: int | None = None) -> WeightModel:
@@ -419,7 +482,7 @@ def parse_model(text: str, k: int | None = None) -> WeightModel:
     if name == "residues":
         if not arg:
             raise DomainError("residues needs a modulus, e.g. residues:4")
-        model = model_residues(int(arg))
+        model = model_residues(_model_arg(int, arg))
         if k is not None and k != model.k:
             raise DomainError(f"residues({arg}) fixes k = {model.k}")
         return model
@@ -428,10 +491,10 @@ def parse_model(text: str, k: int | None = None) -> WeightModel:
         if not lam_s:
             raise DomainError(
                 "tau-weights needs theta;lambda list, e.g. tau-weights:1;1,2,3")
-        lams = [Fraction(x) for x in lam_s.split(",")]
+        lams = [_model_arg(Fraction, x) for x in lam_s.split(",")]
         if k is not None and k != len(lams):
             raise DomainError("tau-weights lambda count must equal k")
-        return model_tau_weights(Fraction(theta_s), lams)
+        return model_tau_weights(_model_arg(Fraction, theta_s), lams)
     if k is None:
         raise DomainError(f"model '{name}' needs an explicit k")
     if name == "uniform":
@@ -447,7 +510,7 @@ def parse_model(text: str, k: int | None = None) -> WeightModel:
         if arg:
             for chunk in arg.split(","):
                 i, _, j = chunk.partition("-")
-                pairs.append((int(i), int(j)))
+                pairs.append((_model_arg(int, i), _model_arg(int, j)))
         return model_coprime(k, pairs)
     raise DomainError(f"unknown model '{name}'")
 

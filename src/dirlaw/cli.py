@@ -3,7 +3,7 @@
 Exact verbs print a single value (rationals as ``p/q``, floats with 12
 significant digits).  Report verbs write CSV or JSON to ``--out`` (or
 stdout) and, when writing to a file, drop a ``<name>.manifest.json``
-beside it that records every parameter of the run.  CSV payloads carry
+beside it that records every parameter of the run.  Payloads carry
 no timestamps, so a rerun with the same manifest is byte-identical.
 
 Exit codes: 0 success, 2 usage or domain error, 3 resource-guard
@@ -32,7 +32,7 @@ from .integers import (convergence_study, exact_lhs, mc_lhs, sup_deviation,
                        weighted_sum_S)
 from .perms import deviation_perm, lhs_perm_brute, lhs_perm_exact
 from .polyfield import deviation_poly, exact_lhs_poly
-from .report import DeviationReport, convergence_csv, report_csv
+from .report import DeviationReport, convergence_csv, fmt, report_csv
 from .series import a0_local_check, d_direct, d_euler, prime_sum_diag
 
 
@@ -73,15 +73,11 @@ def _complex_list(text: str) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _fmt_complex(z: complex) -> str:
     if z.imag == 0.0:
-        return _fmt(z.real)
+        return fmt(z.real)
     sign = "+" if z.imag >= 0 else "-"
-    return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}j"
+    return f"{fmt(z.real)}{sign}{fmt(abs(z.imag))}j"
 
 
 def _fmt_value(v) -> str:
@@ -89,7 +85,7 @@ def _fmt_value(v) -> str:
         return str(v)
     if isinstance(v, complex):
         return _fmt_complex(v)
-    return _fmt(v)
+    return fmt(v)
 
 
 def _model_for(args, k: int | None) -> WeightModel:
@@ -155,44 +151,29 @@ def _emit(payload: str, args, kind: str, params: dict) -> None:
     Path(str(path) + ".manifest.json").write_text(manifest.to_json())
 
 
-def _report_json(report: DeviationReport, args, bins: int | None) -> str:
-    body = {
-        "kind": report.kind,
-        "k": report.k,
-        "scale": report.scale,
-        "model": report.model_id,
-        "grid_step": str(Fraction(report.grid_step)),
-        "bins": bins,
-        "seed": int(getattr(args, "seed", 0) or 0),
-        "sup_dev": report.sup_dev,
-        "scaled_sup_dev": report.scaled_sup_dev,
-        "rows": [
-            {"u": [str(Fraction(c)) for c in u], "empirical": emp,
-             "limit": lim, "deviation": dev}
-            for u, emp, lim, dev in zip(report.points, report.empirical,
-                                        report.limit, report.deviation)
-        ],
-        "timestamp_utc": _now_utc(),
-        "tool_version": __version__,
-    }
-    return json.dumps(body, indent=2) + "\n"
-
-
-def _converge_json(reports: list[DeviationReport], args) -> str:
+def _report_json(kind: str, reports: list[DeviationReport],
+                 bins: int | None) -> str:
+    """JSON body: the last report's header plus one row per grid point
+    (a single report) or per scale (kind "converge")."""
     last = reports[-1]
+    if kind == "converge":
+        rows = [{"scale": r.scale, "sup_dev": r.sup_dev,
+                 "scaled_sup_dev": r.scaled_sup_dev} for r in reports]
+    else:
+        rows = [{"u": [str(Fraction(c)) for c in u], "empirical": emp,
+                 "limit": lim, "deviation": dev}
+                for u, emp, lim, dev in zip(last.points, last.empirical,
+                                            last.limit, last.deviation)]
     body = {
-        "kind": "converge",
+        "kind": kind,
         "k": last.k,
         "scale": last.scale,
         "model": last.model_id,
         "grid_step": str(Fraction(last.grid_step)),
-        "bins": None,
-        "seed": int(getattr(args, "seed", 0) or 0),
+        "bins": bins,
         "sup_dev": last.sup_dev,
         "scaled_sup_dev": last.scaled_sup_dev,
-        "rows": [{"scale": r.scale, "sup_dev": r.sup_dev,
-                  "scaled_sup_dev": r.scaled_sup_dev} for r in reports],
-        "timestamp_utc": _now_utc(),
+        "rows": rows,
         "tool_version": __version__,
     }
     return json.dumps(body, indent=2) + "\n"
@@ -200,30 +181,23 @@ def _converge_json(reports: list[DeviationReport], args) -> str:
 
 def _summary(report: DeviationReport, to_stderr: bool) -> None:
     at = ",".join(str(c) for c in report.arg_sup())
-    line = (f"scale={report.scale} sup_dev={_fmt(report.sup_dev)} "
-            f"scaled_sup_dev={_fmt(report.scaled_sup_dev)} arg_sup={at}")
+    line = (f"scale={report.scale} sup_dev={fmt(report.sup_dev)} "
+            f"scaled_sup_dev={fmt(report.scaled_sup_dev)} arg_sup={at}")
     print(line, file=sys.stderr if to_stderr else sys.stdout)
 
 
-def _emit_report(report: DeviationReport, args, kind: str, params: dict,
-                 bins: int | None) -> None:
+def _emit_reports(reports: list[DeviationReport], args, kind: str,
+                  params: dict, bins: int | None) -> None:
+    """Write one grid report, or a convergence table for kind
+    "converge", then one summary line per report."""
     if args.format == "json":
-        payload = _report_json(report, args, bins)
+        payload = _report_json(kind, reports, bins)
+    elif kind == "converge":
+        payload = convergence_csv(reports)
     else:
-        payload = report_csv(report)
+        payload = report_csv(reports[-1])
     to_stdout = getattr(args, "out", None) in (None, "-")
     _emit(payload, args, kind, params)
-    _summary(report, to_stderr=to_stdout)
-
-
-def _emit_convergence(reports: list[DeviationReport], args,
-                      params: dict) -> None:
-    if args.format == "json":
-        payload = _converge_json(reports, args)
-    else:
-        payload = convergence_csv(reports)
-    to_stdout = getattr(args, "out", None) in (None, "-")
-    _emit(payload, args, "converge", params)
     for r in reports:
         _summary(r, to_stderr=to_stdout)
 
@@ -232,12 +206,12 @@ def _emit_convergence(reports: list[DeviationReport], args,
 
 def _cmd_dirichlet_cdf(args) -> int:
     value = cdf(args.alpha, args.u, tol=args.tol)
-    print(_fmt(value))
+    print(fmt(value))
     return 0
 
 
 def _cmd_dirichlet_density(args) -> int:
-    print(_fmt(density(args.alpha, args.t)))
+    print(fmt(density(args.alpha, args.t)))
     return 0
 
 
@@ -246,7 +220,7 @@ def _cmd_dirichlet_sample(args) -> int:
     k = pts.shape[1]
     lines = [",".join(f"t_{i}" for i in range(1, k + 1))]
     for row in pts:
-        lines.append(",".join(_fmt(c) for c in row))
+        lines.append(",".join(fmt(c) for c in row))
     payload = "\n".join(lines) + "\n"
     params = {"alpha": args.alpha, "samples": args.samples}
     _emit(payload, args, "dirichlet", params)
@@ -272,7 +246,7 @@ def _cmd_integers_run(args) -> int:
     params = {"x": args.x, "k": model.k, "model": args.model,
               "grid": str(step), "threads": _shards(args),
               "format": args.format}
-    _emit_report(report, args, "integers", params, bins=int(1 / step))
+    _emit_reports([report], args, "integers", params, bins=int(1 / step))
     return 0
 
 
@@ -281,7 +255,7 @@ def _cmd_integers_mc(args) -> int:
     sieve = get_spf_sieve(args.x)
     est, err = mc_lhs(args.x, model.k, model, args.u, args.samples,
                       args.seed, sieve)
-    print(f"estimate={_fmt(est)} stderr={_fmt(err)}")
+    print(f"estimate={fmt(est)} stderr={fmt(err)}")
     return 0
 
 
@@ -294,7 +268,7 @@ def _cmd_integers_converge(args) -> int:
     params = {"x": list(xs), "k": model.k, "model": args.model,
               "grid": str(Fraction(args.grid)), "threads": _shards(args),
               "format": args.format, "engine": "integers"}
-    _emit_convergence(reports, args, params)
+    _emit_reports(reports, args, "converge", params, bins=None)
     return 0
 
 
@@ -304,8 +278,8 @@ def _cmd_integers_boxsum(args) -> int:
         raise DomainError("--x must list exactly k box bounds")
     sieve = get_spf_sieve(max(math.floor(v) for v in bounds))
     total, main, ratio = weighted_sum_S(bounds, args.k, sieve)
-    print(f"S={_fmt(total)} main={_fmt(main)} "
-          f"residual_ratio={_fmt(ratio)}")
+    print(f"S={fmt(total)} main={fmt(main)} "
+          f"residual_ratio={fmt(ratio)}")
     return 0
 
 
@@ -327,7 +301,7 @@ def _cmd_polys_run(args) -> int:
                             _poly_table(args.q, args.n))
     params = {"q": args.q, "n": args.n, "k": args.k,
               "grid": str(Fraction(args.grid)), "format": args.format}
-    _emit_report(report, args, "polys", params, bins=None)
+    _emit_reports([report], args, "polys", params, bins=None)
     return 0
 
 
@@ -339,7 +313,7 @@ def _cmd_polys_converge(args) -> int:
     params = {"q": args.q, "n": list(ns), "k": args.k,
               "grid": str(Fraction(args.grid)), "format": args.format,
               "engine": "polys"}
-    _emit_convergence(reports, args, params)
+    _emit_reports(reports, args, "converge", params, bins=None)
     return 0
 
 
@@ -361,7 +335,7 @@ def _cmd_perms_converge(args) -> int:
     params = {"n": list(ns), "k": args.k,
               "grid": str(Fraction(args.grid)), "format": args.format,
               "engine": "perms"}
-    _emit_convergence(reports, args, params)
+    _emit_reports(reports, args, "converge", params, bins=None)
     return 0
 
 
@@ -371,14 +345,14 @@ def _cmd_series_direct(args) -> int:
     k = args.k if args.k is not None else len(args.s)
     sieve = get_spf_sieve(args.nmax)
     value, tail = d_direct(args.s, k, args.nmax, sieve)
-    print(f"value={_fmt_complex(value)} tail={_fmt(tail)}")
+    print(f"value={_fmt_complex(value)} tail={fmt(tail)}")
     return 0
 
 
 def _cmd_series_euler(args) -> int:
     k = args.k if args.k is not None else len(args.s)
     value, tail = d_euler(args.s, k, args.pmax, args.vmax)
-    print(f"value={_fmt_complex(value)} tail={_fmt(tail)}")
+    print(f"value={_fmt_complex(value)} tail={fmt(tail)}")
     return 0
 
 
@@ -452,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="uniform")
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 20))
     p.add_argument("--threads", type=int, default=None)
-    _add_seed(p)
     _add_out_flags(p)
     p.set_defaults(func=_cmd_integers_run)
     p = di.add_parser("mc", help="Monte Carlo estimate of L(x, u)")
@@ -469,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="uniform")
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 20))
     p.add_argument("--threads", type=int, default=None)
-    _add_seed(p)
     _add_out_flags(p)
     p.set_defaults(func=_cmd_integers_converge)
     p = di.add_parser("boxsum",
@@ -494,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 10))
-    _add_seed(p)
     _add_out_flags(p)
     p.set_defaults(func=_cmd_polys_run)
     p = dp.add_parser("converge", help="sup deviation along growing n")
@@ -502,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 10))
-    _add_seed(p)
     _add_out_flags(p)
     p.set_defaults(func=_cmd_polys_converge)
 
@@ -524,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 10))
-    _add_seed(p)
     _add_out_flags(p)
     p.set_defaults(func=_cmd_perms_converge)
 

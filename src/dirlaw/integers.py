@@ -27,12 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from . import quadrature
-from .arith import (FactoredInteger, SpfSieve, WeightModel, compositions,
-                    factorize, tau_k)
+from .arith import (FactoredInteger, JointTau, SpfSieve, WeightModel,
+                    compositions, factorize)
 from .dirichlet import cdf
 from .errors import (DomainError, IntegrityError, ResourceError,
                      UnsupportedError)
-from .report import DeviationReport, rect_grid
+from .report import (DeviationReport, deviation_report, rect_fractions,
+                     rect_grid)
 
 _EXACT_X_LIMIT = 10_000_000
 _BIN_RANGE = (10, 2000)
@@ -194,7 +195,7 @@ def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
     comparison instead.
     """
     _check_engine_args(x, k, model, sieve)
-    u = _rect_fractions(rect, k)
+    u = rect_fractions(rect, k)
     if exact is None:
         exact = model.exact and x <= 100_000
     if exact and (not model.exact or x > _EXACT_X_LIMIT):
@@ -252,16 +253,6 @@ def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
     if den <= 0.0:
         raise IntegrityError("model weight f vanishes on [1, x]")
     return math.fsum(num_terms) / den
-
-
-def _rect_fractions(rect, k: int) -> tuple[Fraction, ...]:
-    u = rect.u if hasattr(rect, "u") else rect
-    out = tuple(Fraction(c) for c in u)
-    if len(out) != k - 1:
-        raise DomainError("rectangle dimension must be k - 1")
-    if any(c < 0 or c > 1 for c in out):
-        raise DomainError("rectangle coordinates must lie in [0, 1]")
-    return out
 
 
 def _check_engine_args(x: int, k: int, model: WeightModel, sieve: SpfSieve):
@@ -407,32 +398,14 @@ def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
     if step < Fraction(1, 100):
         raise DomainError("grid step must be at least 0.01")
     grid = _accumulate(x, k, model, int(bins), shards, sieve)
-    return _deviation_report("integers", x, x, k, model, step, grid)
-
-
-def _deviation_report(kind: str, scale: int, x_for_rate: int, k: int,
-                      model: WeightModel, step: Fraction,
-                      grid: HistogramGrid) -> DeviationReport:
     points = rect_grid(k, step)
-    alpha = model.alpha
-    emp = []
-    lim = []
-    dev = []
-    for u in points:
-        uf = tuple(float(c) for c in u)
-        e = empirical_cdf(grid, uf)
-        f = cdf(alpha, uf, 1e-9)
-        emp.append(e)
-        lim.append(f)
-        dev.append(abs(e - f))
-    sup = max(dev)
+    corners = [tuple(float(c) for c in u) for u in points]
     rate = min([1.0] + [float(a) for a in model.alpha_exact])
-    scaled = sup * math.log(x_for_rate) ** rate
-    return DeviationReport(
-        kind=kind, scale=scale, k=k, model_id=model.model_id,
-        grid_step=step, points=points, empirical=tuple(emp),
-        limit=tuple(lim), deviation=tuple(dev), sup_dev=sup,
-        scaled_sup_dev=scaled)
+    return deviation_report(
+        "integers", x, k, model.model_id, step, points,
+        [empirical_cdf(grid, uf) for uf in corners],
+        [cdf(model.alpha, uf, 1e-9) for uf in corners],
+        math.log(x) ** rate)
 
 
 def convergence_study(xs: Sequence[int], k: int, model: WeightModel,
@@ -459,7 +432,7 @@ def mc_lhs(x: int, k: int, model: WeightModel, rect, n_samples: int,
             "f-rejection sampling needs a model with f <= 1")
     if n_samples < 1000:
         raise DomainError("sample count must be at least 1000")
-    u = [float(c) for c in _rect_fractions(rect, k)]
+    u = [float(c) for c in rect_fractions(rect, k)]
     rng = np.random.Generator(np.random.PCG64(seed))
     from .arith import sample_factorization_rng
     hits = 0
@@ -517,31 +490,14 @@ def weighted_sum_S(x_vec: Sequence[int], k: int, sieve: SpfSieve)\
     for d in range(2, n_max + 1):        # math.log keeps the table
         log_sq[d] = math.log(d) ** 2     # bit-identical to a plain loop
     inner_n = xs[-1]
-    tau_last = _tau_k_table(inner_n, k, sieve)
-    vp_cache: dict[int, np.ndarray] = {}
-
-    def vp_array(p: int) -> np.ndarray:
-        arr = vp_cache.get(p)
-        if arr is None:
-            arr = np.zeros(inner_n + 1, dtype=np.int64)
-            q = p
-            while q <= inner_n:
-                arr[q:: q] += 1
-                q *= p
-            vp_cache[p] = arr
-        return arr
-
+    joint_tau = JointTau(inner_n, k, sieve)
     inner_logsq = log_sq[1: inner_n + 1]
     rows: list[float] = []
 
     def descend(depth: int, outer_exps: dict[int, int],
                 outer_logsq: float):
         if depth == k - 1:
-            taus = tau_last[1: inner_n + 1].copy()
-            for p, v1 in outer_exps.items():
-                v2 = vp_array(p)[1: inner_n + 1]
-                taus = taus // _comb_vec(v2, k) * _comb_vec(v2 + v1, k)
-            terms = (outer_logsq * inner_logsq) / taus
+            terms = (outer_logsq * inner_logsq) / joint_tau.row(outer_exps)
             rows.append(math.fsum(terms.tolist()))
             return
         for d in range(2, xs[depth] + 1):    # log 1 = 0 kills d = 1
@@ -560,22 +516,6 @@ def weighted_sum_S(x_vec: Sequence[int], k: int, sieve: SpfSieve)\
         main *= _log_power_integral(xj, inv_k + 1.0)
     main /= math.gamma(inv_k) ** k
     return s_val, main, (s_val - main) / main
-
-
-def _comb_vec(v: np.ndarray, k: int) -> np.ndarray:
-    """C(v + k - 1, k - 1) elementwise for small k; exact int64."""
-    out = np.ones_like(v)
-    for j in range(1, k):
-        out = out * (v + j) // j
-    return out
-
-
-def _tau_k_table(limit: int, k: int, sieve: SpfSieve) -> np.ndarray:
-    out = np.ones(limit + 1, dtype=np.int64)
-    out[0] = 0
-    for n in range(2, limit + 1):
-        out[n] = tau_k(factorize(n, sieve), k)
-    return out
 
 
 def _log_power_integral(x: float, c: float) -> float:

@@ -17,9 +17,11 @@ from typing import Iterator
 
 import numpy as np
 
+from .arith import rising_binoms
 from .dirichlet import cdf
 from .errors import DomainError, IntegrityError, ResourceError
-from .report import DeviationReport, rect_grid
+from .report import (DeviationReport, deviation_report, rect_fractions,
+                     rect_grid)
 
 _MAX_N = 5000
 _MAX_K = 6
@@ -115,7 +117,7 @@ def mean_tau_alpha(n: int, alpha, table: StirlingTable) -> Fraction:
         raise DomainError("alpha must be positive")
     if n < 0 or n > table.max_n:
         raise DomainError("n out of table range")
-    binom = _rising_binom(a, n)
+    binom = rising_binoms(a, n)[n]
     stirl = sum(table.rows[n][j] * a ** j
                 for j in range(n + 1)) / Fraction(math.factorial(n))
     if binom != stirl:
@@ -123,24 +125,7 @@ def mean_tau_alpha(n: int, alpha, table: StirlingTable) -> Fraction:
     return binom
 
 
-def _rising_binom(a: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(1, m + 1):
-        out *= (a + j - 1) / Fraction(j)
-    return out
-
-
 # ------------------------------------------------------- mean statistic
-
-def _block_caps(n: int, k: int, rect) -> list[int]:
-    u = rect.u if hasattr(rect, "u") else rect
-    fr = [Fraction(c) for c in u]
-    if len(fr) != k - 1:
-        raise DomainError("rectangle dimension must be k - 1")
-    if any(c < 0 or c > 1 for c in fr):
-        raise DomainError("rectangle coordinates must lie in [0, 1]")
-    return [(n * c.numerator) // c.denominator for c in fr]
-
 
 def lhs_perm_exact(n: int, k: int, rect):
     """Mean over S_n of the fraction of ordered k-block invariant
@@ -154,7 +139,7 @@ def lhs_perm_exact(n: int, k: int, rect):
         raise DomainError(f"n must lie in [0, {_MAX_N}]")
     if not 2 <= k <= _MAX_K:
         raise DomainError(f"k must lie in [2, {_MAX_K}]")
-    caps = _block_caps(n, k, rect)
+    caps = [math.floor(n * c) for c in rect_fractions(rect, k)]
     if n == 0:
         return Fraction(1)
     cost = 1
@@ -163,7 +148,7 @@ def lhs_perm_exact(n: int, k: int, rect):
     if cost > _TERM_GUARD:
         raise ResourceError("block-size sum exceeds the term guard")
     if n <= _EXACT_MAX_N:
-        binom = _binom_table_exact(n, k)
+        binom = _binom_table(n, k, exact=True)
 
         def rec(i: int, remaining: int, weight: Fraction) -> Fraction:
             if i == k - 1:
@@ -175,7 +160,7 @@ def lhs_perm_exact(n: int, k: int, rect):
 
         return rec(0, n, Fraction(1))
 
-    binf = _binom_table_float(n, k)
+    binf = _binom_table(n, k, exact=False)
 
     def recf(i: int, remaining: int, weight: float) -> float:
         if i == k - 2:
@@ -191,23 +176,11 @@ def lhs_perm_exact(n: int, k: int, rect):
 
 
 @lru_cache(maxsize=64)
-def _binom_table_exact(n: int, k: int) -> tuple[Fraction, ...]:
-    """C(m + 1/k - 1, m) for m = 0..n, exact."""
-    a = Fraction(1, k)
-    out = [Fraction(1)]
-    for m in range(1, n + 1):
-        out.append(out[-1] * (a + m - 1) / Fraction(m))
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _binom_table_float(n: int, k: int) -> np.ndarray:
-    a = 1.0 / k
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    for m in range(1, n + 1):
-        out[m] = out[m - 1] * (a + m - 1) / m
-    return out
+def _binom_table(n: int, k: int, exact: bool):
+    """C(m + 1/k - 1, m) for m = 0..n: Fractions, or a float array."""
+    if exact:
+        return tuple(rising_binoms(Fraction(1, k), n))
+    return np.array(rising_binoms(1.0 / k, n))
 
 
 def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
@@ -221,7 +194,7 @@ def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
         raise DomainError(f"brute force needs n <= {_BRUTE_MAX_N}")
     if not 2 <= k <= _MAX_K:
         raise DomainError(f"k must lie in [2, {_MAX_K}]")
-    caps = _block_caps(n, k, rect)
+    caps = [math.floor(n * c) for c in rect_fractions(rect, k)]
     if n == 0:
         return Fraction(1)
     total = Fraction(0)
@@ -254,16 +227,8 @@ def deviation_perm(n: int, k: int, grid_step) -> DeviationReport:
     step = Fraction(grid_step)
     points = rect_grid(k, step)
     alpha = tuple(1.0 / k for _ in range(k))
-    emp, lim, dev = [], [], []
-    for u in points:
-        e = float(lhs_perm_exact(n, k, u))
-        f = cdf(alpha, tuple(float(c) for c in u), 1e-9)
-        emp.append(e)
-        lim.append(f)
-        dev.append(abs(e - f))
-    sup = max(dev)
-    return DeviationReport(
-        kind="perms", scale=n, k=k, model_id="uniform",
-        grid_step=step, points=points, empirical=tuple(emp),
-        limit=tuple(lim), deviation=tuple(dev), sup_dev=sup,
-        scaled_sup_dev=sup * n ** (1.0 / k))
+    return deviation_report(
+        "perms", n, k, "uniform", step, points,
+        [float(lhs_perm_exact(n, k, u)) for u in points],
+        [cdf(alpha, tuple(float(c) for c in u), 1e-9) for u in points],
+        n ** (1.0 / k))

@@ -21,7 +21,8 @@ import numpy as np
 from .arith import compositions
 from .dirichlet import cdf
 from .errors import DomainError, IntegrityError, ResourceError
-from .report import DeviationReport, rect_grid
+from .report import (DeviationReport, deviation_report, rect_fractions,
+                     rect_grid)
 
 _MAX_Q = 13
 _TABLE_GUARD = 10 ** 8
@@ -113,6 +114,14 @@ def _is_prime(n: int) -> bool:
         if n % p == 0:
             return False
     return True
+
+
+def _check_q(q: int):
+    """The field size every table and enumeration accepts."""
+    if not _is_prime(q):
+        raise DomainError("q must be a prime")
+    if q > _MAX_Q:
+        raise ResourceError(f"q must be at most {_MAX_Q}")
 
 
 def _mobius(n: int) -> int:
@@ -211,8 +220,7 @@ def build_irreducibles(q: int, max_deg: int) -> IrreducibleTable:
     Composite monic codes are exactly the products P*G with P irreducible
     of degree <= deg/2; the sieve marks those ascending by P.
     """
-    if not _is_prime(q) or q > _MAX_Q:
-        raise ResourceError(f"q must be a prime <= {_MAX_Q}")
+    _check_q(q)
     if max_deg < 1 or q ** max_deg > _TABLE_GUARD:
         raise ResourceError("q^max_deg exceeds the table guard")
     sif, _ = _factor_sieve(q, max_deg)
@@ -367,30 +375,22 @@ def exact_lhs_poly(q: int, n: int, k: int, rect, table: IrreducibleTable)\
     """Mean over all monic F of degree n of the fraction of ordered
     k-tuples (D_1, ..., D_k) with product F and deg D_i <= floor(n*u_i)
     for i < k.  Exact rational."""
-    caps = _degree_caps(n, k, rect)
-    tensors = _profile_tensors(q, n, k, table)
+    caps = [math.floor(n * c) for c in rect_fractions(rect, k)]
+    return _box_mass(_profile_tensors(q, n, k, table), caps) / q ** n
+
+
+def _box_mass(tensors, caps) -> Fraction:
+    """Sum over tau of (tuples with deg D_i <= caps[i]) / tau, exactly."""
     total = Fraction(0)
     for tau, tensor in tensors.items():
         block = tensor[tuple(slice(0, c + 1) for c in caps)]
         total += Fraction(int(block.sum()), tau)
-    return total / q ** n
-
-
-def _degree_caps(n: int, k: int, rect) -> list[int]:
-    """floor(n * u_i) from exact rationals; no float boundary cases."""
-    u = rect.u if hasattr(rect, "u") else rect
-    fr = [Fraction(c) for c in u]
-    if len(fr) != k - 1:
-        raise DomainError("rectangle dimension must be k - 1")
-    if any(c < 0 or c > 1 for c in fr):
-        raise DomainError("rectangle coordinates must lie in [0, 1]")
-    return [(n * c.numerator) // c.denominator for c in fr]
+    return total
 
 
 def _profile_tensors(q: int, n: int, k: int, table: IrreducibleTable):
     """tau -> summed divisor-degree tensor over all monic F of degree n."""
-    if not _is_prime(q) or q > _MAX_Q:
-        raise ResourceError(f"q must be a prime <= {_MAX_Q}")
+    _check_q(q)
     if n < 1 or k < 2:
         raise DomainError("need n >= 1 and k >= 2")
     if q ** n > _ENUM_GUARD:
@@ -422,22 +422,9 @@ def deviation_poly(q: int, n: int, k: int, grid_step,
     tensors = _profile_tensors(q, n, k, table)
     points = rect_grid(k, step)
     alpha = tuple(1.0 / k for _ in range(k))
-    qn = Fraction(q) ** n
-    emp, lim, dev = [], [], []
-    for u in points:
-        caps = [int(n * c) for c in u]
-        val = Fraction(0)
-        for tau, tensor in tensors.items():
-            block = tensor[tuple(slice(0, c + 1) for c in caps)]
-            val += Fraction(int(block.sum()), tau)
-        e = float(val / qn)
-        f = cdf(alpha, tuple(float(c) for c in u), 1e-9)
-        emp.append(e)
-        lim.append(f)
-        dev.append(abs(e - f))
-    sup = max(dev)
-    return DeviationReport(
-        kind="polys", scale=n, k=k, model_id=f"q{q}-uniform",
-        grid_step=step, points=points, empirical=tuple(emp),
-        limit=tuple(lim), deviation=tuple(dev), sup_dev=sup,
-        scaled_sup_dev=sup * n ** (1.0 / k))
+    return deviation_report(
+        "polys", n, k, f"q{q}-uniform", step, points,
+        [float(_box_mass(tensors, [math.floor(n * c) for c in u]) / q ** n)
+         for u in points],
+        [cdf(alpha, tuple(float(c) for c in u), 1e-9) for u in points],
+        n ** (1.0 / k))

@@ -1,5 +1,6 @@
 """Deviation reports shared by the integer, polynomial and permutation
-engines, plus the rectangle grids they are evaluated on.
+engines, plus the rectangle grids they are evaluated on, the rectangle
+parser they share and the CSV payloads written from reports.
 
 A grid of step g consists of every corner u with coordinates that are
 positive multiples of g and sum at most 1.  The origin is excluded: at
@@ -70,7 +71,39 @@ def rect_grid(k: int, step: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(out)
 
 
-def _fmt(x: float) -> str:
+def rect_fractions(rect, k: int) -> tuple[Fraction, ...]:
+    """The k-1 corner coordinates of a rectangle as exact rationals.
+
+    Engines that need integer caps take floor(n * u_i) from the result,
+    so no float rounding decides a boundary case.
+    """
+    u = rect.u if hasattr(rect, "u") else rect
+    out = tuple(Fraction(c) for c in u)
+    if len(out) != k - 1:
+        raise DomainError("rectangle dimension must be k - 1")
+    if any(c < 0 or c > 1 for c in out):
+        raise DomainError("rectangle coordinates must lie in [0, 1]")
+    return out
+
+
+def deviation_report(kind: str, scale: int, k: int, model_id: str,
+                     step: Fraction, points, empirical, limit,
+                     rate_factor: float) -> DeviationReport:
+    """Assemble a report from per-point empirical and limit values.
+
+    ``rate_factor`` is the reciprocal of the proven error rate at this
+    scale; the scaled sup deviation is ``sup_dev * rate_factor``.
+    """
+    dev = tuple(abs(e - f) for e, f in zip(empirical, limit))
+    sup = max(dev)
+    return DeviationReport(
+        kind=kind, scale=scale, k=k, model_id=model_id, grid_step=step,
+        points=points, empirical=tuple(empirical), limit=tuple(limit),
+        deviation=dev, sup_dev=sup, scaled_sup_dev=sup * rate_factor)
+
+
+def fmt(x: float) -> str:
+    """A float with 12 significant digits, as every payload prints it."""
     return format(float(x), ".12g")
 
 
@@ -81,7 +114,7 @@ def report_csv(report: DeviationReport) -> str:
     w.writerow([f"u_{i}" for i in range(1, report.k)]
                + ["empirical", "limit", "deviation"])
     for row in report.rows():
-        w.writerow([_fmt(v) for v in row])
+        w.writerow([fmt(v) for v in row])
     return buf.getvalue()
 
 
@@ -91,5 +124,5 @@ def convergence_csv(reports) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["scale", "sup_dev", "scaled_sup_dev"])
     for r in reports:
-        w.writerow([r.scale, _fmt(r.sup_dev), _fmt(r.scaled_sup_dev)])
+        w.writerow([r.scale, fmt(r.sup_dev), fmt(r.scaled_sup_dev)])
     return buf.getvalue()

@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import zeta as _zeta
 
-from .arith import (FactoredInteger, SpfSieve, WeightModel, factorize,
-                    local_g_sum, primes_up_to, tau_k)
+from .arith import (FactoredInteger, JointTau, SpfSieve, WeightModel,
+                    factorize, local_g_sum, primes_up_to)
 from .errors import DomainError, IntegrityError, ResourceError
 
 _DIRECT_N_MAX = 100_000
@@ -81,29 +81,12 @@ def d_direct(s, k: int, n_max: int, sieve: SpfSieve)\
 
     real_point = all(c.imag == 0.0 for c in pt.s)
     inner = _axis_powers(pt.s[-1], n_max, real_point)
-    tau_base = _tau_table(n_max, k, sieve)
-    vp_cache: dict[int, np.ndarray] = {}
-
-    def vp_array(p: int) -> np.ndarray:
-        arr = vp_cache.get(p)
-        if arr is None:
-            arr = np.zeros(n_max + 1, dtype=np.int64)
-            q = p
-            while q <= n_max:
-                arr[q:: q] += 1
-                q *= p
-            vp_cache[p] = arr
-        return arr
-
+    joint_tau = JointTau(n_max, k, sieve)
     re_rows: list[float] = []
     im_rows: list[float] = []
 
     def row(exps: dict[int, int], coeff: complex):
-        taus = tau_base[1:].copy()
-        for p, v_out in exps.items():
-            v_in = vp_array(p)[1:]
-            taus = taus // _comb_vec(v_in, k) * _comb_vec(v_in + v_out, k)
-        terms = (coeff * inner) / taus
+        terms = (coeff * inner) / joint_tau.row(exps)
         if real_point:
             re_rows.append(math.fsum(terms.tolist()))
         else:
@@ -152,25 +135,10 @@ def _axis_powers(s: complex, n_max: int, real_point: bool) -> np.ndarray:
     return np.exp(-s * np.log(n))
 
 
-def _comb_vec(v: np.ndarray, k: int) -> np.ndarray:
-    out = np.ones_like(v)
-    for j in range(1, k):
-        out = out * (v + j) // j
-    return out
-
-
 @lru_cache(maxsize=32)
 def _comb_weights(k: int, length: int) -> np.ndarray:
     return np.array([math.comb(w + k - 1, k - 1)
                      for w in range(length)], dtype=np.float64)
-
-
-def _tau_table(limit: int, k: int, sieve: SpfSieve) -> np.ndarray:
-    out = np.ones(limit + 1, dtype=np.int64)
-    out[0] = 0
-    for n in range(2, limit + 1):
-        out[n] = tau_k(factorize(n, sieve), k)
-    return out
 
 
 def d_euler(s, k: int, prime_max: int, v_max: int)\

@@ -171,6 +171,7 @@ def test_sample_factorization_products(sieve_small):
 def test_sieve_limits():
     sv = build_spf_sieve(10)
     assert sv.limit == 10
+    assert factorize(1, build_spf_sieve(1)).factors == ()
     with pytest.raises(DomainError):
         factorize(11, sv)
     with pytest.raises(DomainError):

@@ -1,7 +1,9 @@
+import itertools
 import json
 
 import pytest
 
+from dirlaw import cli
 from dirlaw.cli import main
 
 
@@ -28,6 +30,9 @@ def test_integers_exact_example(capsys):
     code, out, _ = run(capsys, "integers", "exact", "--x", "4", "--k", "2",
                        "--u", "1/2")
     assert code == 0 and out.strip() == "2/3"
+    code, out, _ = run(capsys, "integers", "exact", "--x", "1", "--k", "2",
+                       "--u", "1/2")
+    assert code == 0 and out.strip() == "1"
 
 
 def test_polys_exact_example(capsys):
@@ -50,11 +55,25 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "integers", "exact", "--x", "4", "--k", "2",
                        "--u", "3/2")
     assert code == 2 and "error" in err
+    code, _, err = run(capsys, "polys", "exact", "--q", "4", "--n", "2",
+                       "--k", "2", "--u", "0.5")
+    assert code == 2 and "prime" in err
+
+
+@pytest.mark.parametrize("spelling", ["residues:abc", "coprime:1-x",
+                                      "tau-weights:a;1,2,3"])
+def test_malformed_model_is_usage_error(capsys, spelling):
+    code, _, err = run(capsys, "integers", "exact", "--x", "10", "--k", "3",
+                       "--u", "1/2,1/4", "--model", spelling)
+    assert code == 2 and "error" in err and "Traceback" not in err
 
 
 def test_resource_error_exit_code(capsys):
     code, _, err = run(capsys, "integers", "run", "--x", "200000000",
                        "--k", "2")
+    assert code == 3 and "error" in err
+    code, _, err = run(capsys, "polys", "exact", "--q", "17", "--n", "2",
+                       "--k", "2", "--u", "0.5")
     assert code == 3 and "error" in err
 
 
@@ -72,7 +91,7 @@ def test_integrity_error_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 4 and "error" in err
 
 
-def test_run_writes_csv_and_manifest(capsys, tmp_path):
+def test_run_writes_csv_and_manifest(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "dev.csv"
     code, _, err = run(capsys, "integers", "run", "--x", "2000", "--k", "2",
                        "--grid", "1/10", "--out", str(out_path))
@@ -96,6 +115,20 @@ def test_run_writes_csv_and_manifest(capsys, tmp_path):
     assert code == 0
     assert out2.read_bytes() == out_path.read_bytes()
 
+    # so is a JSON payload, even when the clock moves between the runs
+    tick = itertools.count()
+    monkeypatch.setattr(cli, "_now_utc",
+                        lambda: f"2000-01-01T00:00:{next(tick):02d}Z")
+    argv = ("integers", "run", "--x", "2000", "--k", "2", "--grid", "1/10",
+            "--format", "json")
+    code, json1, _ = run(capsys, *argv)
+    code2, json2, _ = run(capsys, *argv)
+    assert code == code2 == 0 and json1 == json2
+
+    # x = 1 is inside the domain: only n = 1, at the origin
+    code, out, _ = run(capsys, "integers", "run", "--x", "1", "--k", "2")
+    assert code == 0 and len(out.strip().split("\n")) == 21
+
 
 def test_run_json_schema(capsys):
     code, out, err = run(capsys, "integers", "run", "--x", "1000",
@@ -103,8 +136,7 @@ def test_run_json_schema(capsys):
     assert code == 0
     body = json.loads(out)
     assert list(body.keys()) == ["kind", "k", "scale", "model", "grid_step",
-                                 "bins", "seed", "sup_dev",
-                                 "scaled_sup_dev", "rows", "timestamp_utc",
+                                 "bins", "sup_dev", "scaled_sup_dev", "rows",
                                  "tool_version"]
     assert body["kind"] == "integers" and body["scale"] == 1000
     assert body["bins"] == 5 and len(body["rows"]) == 5
@@ -134,6 +166,9 @@ def test_series_verbs(capsys):
     code, out, _ = run(capsys, "series", "direct", "--s", "2,2",
                        "--nmax", "100")
     assert code == 0 and out.startswith("value=") and "tail=" in out
+    code, out, _ = run(capsys, "series", "direct", "--s", "2,2",
+                       "--nmax", "1")
+    assert code == 0 and out.startswith("value=1 ")
     code, out, _ = run(capsys, "series", "primesum", "--model", "uniform",
                        "--k", "2", "--j", "0", "--s", "2", "--pmax", "500")
     assert code == 0 and out.strip() == "0"
