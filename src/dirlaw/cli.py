@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -28,12 +27,13 @@ from .caches import get_irreducibles, get_spf_sieve
 from .dirichlet import cdf, density, sample_many
 from .errors import (DomainError, IntegrityError, ResourceError,
                      SingularityError, UnsupportedError)
-from .integers import (convergence_study, exact_lhs, mc_lhs, sup_deviation,
-                       weighted_sum_S)
+from .integers import (box_floors, convergence_study, exact_lhs, mc_lhs,
+                       sup_deviation, weighted_sum_S)
 from .perms import deviation_perm, lhs_perm_brute, lhs_perm_exact
 from .polyfield import deviation_poly, exact_lhs_poly
 from .report import DeviationReport, convergence_csv, fmt, report_csv
-from .series import a0_local_check, d_direct, d_euler, prime_sum_diag
+from .series import (a0_local_check, d_direct, d_euler, direct_point,
+                     prime_sum_diag)
 
 
 # ---------------------------------------------------------------- parsing
@@ -273,11 +273,8 @@ def _cmd_integers_converge(args) -> int:
 
 
 def _cmd_integers_boxsum(args) -> int:
-    bounds = args.x
-    if len(bounds) != args.k:
-        raise DomainError("--x must list exactly k box bounds")
-    sieve = get_spf_sieve(max(math.floor(v) for v in bounds))
-    total, main, ratio = weighted_sum_S(bounds, args.k, sieve)
+    sieve = get_spf_sieve(max(box_floors(args.x, args.k)))
+    total, main, ratio = weighted_sum_S(args.x, args.k, sieve)
     print(f"S={fmt(total)} main={fmt(main)} "
           f"residual_ratio={fmt(ratio)}")
     return 0
@@ -343,6 +340,7 @@ def _cmd_perms_converge(args) -> int:
 
 def _cmd_series_direct(args) -> int:
     k = args.k if args.k is not None else len(args.s)
+    direct_point(args.s, k, args.nmax)     # domain and cost, before sieving
     sieve = get_spf_sieve(args.nmax)
     value, tail = d_direct(args.s, k, args.nmax, sieve)
     print(f"value={_fmt_complex(value)} tail={fmt(tail)}")

@@ -7,13 +7,17 @@ The distribution Dir(alpha_1, ..., alpha_k) lives on the simplex
            * prod t_i^(alpha_i - 1)
 
 with respect to dt_1 ... dt_(k-1) (the last coordinate is eliminated).
-The rectangle CDF F(u) integrates f over {t_i <= u_i, i < k}.  Because
-sum u_i <= 1 the box sits inside the simplex, so the CDF is a box
-integral; each coordinate with its t^(alpha-1) endpoint singularity is
-regularized exactly by the substitution t = w^(1/alpha), and the
-remaining face singularity (1 - sum t)^(alpha_k - 1) is absorbed by the
-tanh-sinh rule, whose nodes cluster double-exponentially at the far
-corner.
+The rectangle CDF F(u) is the mass of {t_i <= u_i, i < k}.  It is
+computed by stick-breaking: by the complete neutrality of the Dirichlet
+law (Connor & Mosimann 1969), t_1 ~ Beta(alpha_1, A - alpha_1) with
+A = sum alpha_i, and (t_2, ..., t_k) / (1 - t_1) ~ Dir(alpha_2, ...,
+alpha_k) independently of t_1.  So F is a 1-D integral over t_1 of the
+(k-2)-coordinate CDF at the conditional corner min(1, u_j / (1 - t_1)),
+down to one coordinate, where F is the regularized incomplete beta
+function.  Each integral substitutes t_1 = u_1 s^(1/alpha_1), which
+absorbs the t^(alpha-1) endpoint singularity exactly, and runs over s in
+(0, 1) on the tanh-sinh nodes, whose clustering at s = 1 absorbs the
+(1 - t_1)^(A - alpha_1 - 1) factor when u_1 = 1.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from scipy.special import betainc
 
-from .errors import DomainError, SingularityError, UnsupportedError
+from .errors import (DomainError, IntegrityError, SingularityError,
+                     UnsupportedError)
 from .quadrature import nodes
 
-_MAX_CDF_DIMS = 4          # nested integration dimension cap (k - 1)
-_CHUNK = 4_000_000         # max elements per flattened evaluation block
-_LEVEL_CAP = {1: 9, 2: 7, 3: 6, 4: 5}
+_MAX_CDF_DIMS = 4          # CDF coordinate cap (k - 1)
+_MAX_LEVEL = 6             # finest tanh-sinh level tried by the CDF
 
 
 @dataclass(frozen=True)
@@ -72,10 +77,6 @@ class RectQuery:
     def __post_init__(self):
         if any(c < 0.0 or c > 1.0 for c in self.u):
             raise DomainError("rectangle corner coordinates must lie in [0,1]")
-
-    @property
-    def on_simplex(self) -> bool:
-        return sum(self.u) <= 1.0 + 1e-12
 
 
 def _as_alpha(params) -> tuple[float, ...]:
@@ -126,54 +127,39 @@ def cdf_arcsine(u: float) -> float:
     return 2.0 / math.pi * math.asin(math.sqrt(u))
 
 
-def _box_integral(alpha: tuple[float, ...], u: tuple[float, ...],
-                  level: int) -> float:
-    """Integral of prod t_i^(a_i-1) (1-sum t)^(a_k-1) over the box.
+def _stick_breaking(alpha: tuple[float, ...], u: np.ndarray,
+                    level: int) -> np.ndarray:
+    """Dir(alpha) mass of {t_i <= u_i, i < k} for each row of u, (m, k-1).
 
-    Works in w-coordinates (t_i = w_i^(1/a_i)); the per-level upper limit
-    is min(u_i, slack), which also serves the full-simplex mass when every
-    u_i is 1.  The running slack 1 - sum t is threaded as a sum of exact
-    endpoint distances so the face singularity is evaluated accurately.
+    Coordinates of u must lie in [0, 1].  The outer integral over t_1
+    uses the tanh-sinh nodes of ``level``; its integrand is the same
+    function of the conditional corners, one coordinate shorter.
     """
+    m, d = u.shape
+    a, b = alpha[0], math.fsum(alpha[1:])
+    if d == 1:
+        return betainc(a, b, u[:, 0])
+    if d > 2 and m > 1:
+        # m corners of d coordinates bring m * N^(d-1) corners to the base
+        # (N nodes per level); taking these one at a time bounds that
+        # working set by N^2.
+        return np.array([_stick_breaking(alpha, c[None], level)[0]
+                         for c in u])
     xi, omx, w = nodes(level)
-    dims = len(u)
-    # q = 1 - xi^(1/a), accurate for xi near 1; when 1 - omx rounds to 0
-    # fall back to log(xi), which is the same quantity.
-    with np.errstate(divide="ignore"):
-        lg = np.where(omx < 1.0, np.log1p(-omx), np.log(xi))
-    qs = [-np.expm1(lg / a) for a in alpha[:dims]]
-    a_last = alpha[-1]
-
-    def recurse(slack: np.ndarray, depth: int) -> np.ndarray:
-        a = alpha[depth]
-        q = qs[depth]
-        ui = u[depth]
-        sub = ui < slack
-        lim = np.where(sub, ui, slack)
-        base = np.where(sub, slack - ui, 0.0)
-        m = slack.shape[0]
-        n = q.shape[0]
-        out = np.zeros(m)
-        block = max(1, _CHUNK // max(n, 1))
-        for lo in range(0, m, block):
-            hi = min(lo + block, m)
-            child = base[lo:hi, None] + lim[lo:hi, None] * q[None, :]
-            if depth == dims - 1:
-                if a_last == 1.0:
-                    vals = np.ones_like(child)
-                else:
-                    # child underflows to 0 only where the cumulative
-                    # weight is far below double precision; drop the node.
-                    with np.errstate(divide="ignore"):
-                        vals = np.where(child > 0.0,
-                                        child ** (a_last - 1.0), 0.0)
-            else:
-                vals = recurse(child.reshape(-1), depth + 1).reshape(
-                    hi - lo, n)
-            out[lo:hi] = vals @ w
-        return out * lim ** a / a
-
-    return float(recurse(np.ones(1), 0)[0])
+    u1 = u[:, :1]
+    with np.errstate(divide="ignore", over="ignore"):
+        # log(s) from whichever of s and 1 - s is the smaller, so it keeps
+        # full relative accuracy at both ends; q = 1 - s^(1/a).
+        lg = np.where(xi < 0.5, np.log(xi), np.log1p(-omx))
+        q = -np.expm1(lg / a)
+        # 1 - t_1 = (1 - u_1) + u_1 q without cancellation; q when u_1 = 1.
+        omt = (1.0 - u1) + u1 * q
+        inner = np.minimum(1.0, u[:, None, 1:] / omt[:, :, None])
+        # 1 - t_1 underflows to 0 only at nodes of negligible weight
+        face = np.where(omt > 0.0, omt ** (b - 1.0), 0.0)
+    g = _stick_breaking(alpha[1:], inner.reshape(-1, d - 1), level)
+    vals = face * g.reshape(m, -1)
+    return math.exp(_log_norm((a, b))) * u[:, 0] ** a / a * (vals @ w)
 
 
 @lru_cache(maxsize=200_000)
@@ -181,23 +167,23 @@ def _cdf_cached(alpha: tuple[float, ...], u: tuple[float, ...],
                 tol: float) -> float:
     if any(c == 0.0 for c in u):
         return 0.0
-    dims = len(u)
-    cap = _LEVEL_CAP.get(dims, 5)
-    norm = math.exp(_log_norm(alpha))
+    corner = np.array([u])
     prev = None
-    for level in range(3, cap + 1):
-        val = norm * _box_integral(alpha, u, level)
+    for level in range(3, _MAX_LEVEL + 1):
+        val = float(_stick_breaking(alpha, corner, level)[0])
         if prev is not None and abs(val - prev) <= max(0.5 * tol, 4e-16):
             return min(val, 1.0) if val > 1.0 and val - 1.0 < tol else val
         prev = val
-    from .errors import IntegrityError
     raise IntegrityError(
-        f"CDF quadrature did not converge to {tol:g} in {dims} dimensions")
+        f"CDF quadrature did not converge to {tol:g} in {len(u)} dimensions")
 
 
 def cdf(params, rect, tol: float = 1e-9) -> float:
     """Rectangle CDF F(u_1, ..., u_(k-1)) to absolute accuracy tol.
 
+    Stick-breaking recursion: ``scipy.special.betainc`` for k = 2, and for
+    larger k one tanh-sinh integral per coordinate but the last.  The
+    level is raised from 3 until two levels agree within tol / 2.
     Requires sum u_i <= 1 (the box must not leave the simplex) and
     k - 1 <= 4; tol must lie in [1e-12, 1e-3].
     """
@@ -217,9 +203,9 @@ def cdf(params, rect, tol: float = 1e-9) -> float:
 def simplex_mass(params, tol: float = 1e-9) -> float:
     """Total mass of the density over the whole simplex (ideally 1).
 
-    Computed by the same nested rule as ``cdf`` with every upper limit
-    ridden down to the running slack; a direct check on the quadrature
-    plus normalization constants.
+    The stick-breaking rule of ``cdf`` at the corner u = (1, ..., 1),
+    where every conditional corner clips to 1; a direct check on the
+    quadrature plus normalization constants.
     """
     alpha = _as_alpha(params)
     if len(alpha) - 1 > _MAX_CDF_DIMS:

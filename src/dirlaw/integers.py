@@ -458,6 +458,21 @@ def mc_lhs(x: int, k: int, model: WeightModel, rect, n_samples: int,
 
 # ------------------------------------------------ weighted two-log moments
 
+def box_floors(x_vec: Sequence[float], k: int) -> list[int]:
+    """Box-bound floors after ``weighted_sum_S``'s sieve-free checks."""
+    bounds = [float(v) for v in x_vec]
+    if len(bounds) != k or k < 2:
+        raise DomainError("the box needs exactly k >= 2 bounds")
+    if any(v < math.e - 1e-12 for v in bounds):
+        raise DomainError("box bounds must be at least e")
+    size = 1.0
+    for v in bounds:
+        size *= v
+    if size > _CELL_GUARD:
+        raise ResourceError("box volume exceeds the 1e8 guard")
+    return [math.floor(v) for v in bounds]
+
+
 def weighted_sum_S(x_vec: Sequence[int], k: int, sieve: SpfSieve)\
         -> tuple[float, float, float]:
     """Sum of prod (log d_j)^2 / tau_k(prod d_j) over the box d_j <= x_j.
@@ -471,17 +486,7 @@ def weighted_sum_S(x_vec: Sequence[int], k: int, sieve: SpfSieve)\
     evaluation order and bitwise reproducible against a plain nested
     loop that follows the same (log d_1)^2 * (log d_2)^2 / tau bracket.
     """
-    bounds = [float(v) for v in x_vec]
-    if len(bounds) != k or k < 2:
-        raise DomainError("x_vec length must equal k >= 2")
-    if any(v < math.e - 1e-12 for v in bounds):
-        raise DomainError("box bounds must be at least e")
-    size = 1.0
-    for v in bounds:
-        size *= v
-    if size > _CELL_GUARD:
-        raise ResourceError("box volume exceeds the 1e8 guard")
-    xs = [math.floor(v) for v in bounds]
+    xs = box_floors(x_vec, k)
     if max(xs) > sieve.limit:
         raise DomainError("sieve does not cover the box")
 
@@ -512,8 +517,8 @@ def weighted_sum_S(x_vec: Sequence[int], k: int, sieve: SpfSieve)\
 
     inv_k = 1.0 / k
     main = 1.0
-    for xj in bounds:                    # real bounds, not floors
-        main *= _log_power_integral(xj, inv_k + 1.0)
+    for xj in x_vec:                     # real bounds, not floors
+        main *= _log_power_integral(float(xj), inv_k + 1.0)
     main /= math.gamma(inv_k) ** k
     return s_val, main, (s_val - main) / main
 

@@ -55,6 +55,20 @@ def _as_point(s) -> SeriesPoint:
     return SeriesPoint(tuple(complex(c) for c in s))
 
 
+def direct_point(s, k: int, n_max: int) -> SeriesPoint:
+    """``d_direct``'s point after its sieve-free domain and cost checks."""
+    pt = _as_point(s)
+    if len(pt.s) != k or k < 1:
+        raise DomainError("s must have exactly k >= 1 coordinates")
+    if min(pt.sigmas) < _SIGMA_MIN_DIRECT:
+        raise DomainError(f"direct sum needs Re s >= {_SIGMA_MIN_DIRECT}")
+    if n_max < 1 or n_max > _DIRECT_N_MAX:
+        raise DomainError(f"n_max must lie in [1, {_DIRECT_N_MAX}]")
+    if n_max ** k > _DIRECT_COST_GUARD:
+        raise ResourceError("N^k exceeds the direct-sum cost guard")
+    return pt
+
+
 def d_direct(s, k: int, n_max: int, sieve: SpfSieve)\
         -> tuple[complex, float]:
     """Truncated direct sum over max n_j <= n_max, with tail bound.
@@ -67,15 +81,7 @@ def d_direct(s, k: int, n_max: int, sieve: SpfSieve)\
     prime by prime from the outer coordinates' factorizations, which
     keeps the cost near one vector op per outer tuple.
     """
-    pt = _as_point(s)
-    if len(pt.s) != k or k < 1:
-        raise DomainError("s must have exactly k >= 1 coordinates")
-    if min(pt.sigmas) < _SIGMA_MIN_DIRECT:
-        raise DomainError(f"direct sum needs Re s >= {_SIGMA_MIN_DIRECT}")
-    if n_max < 1 or n_max > _DIRECT_N_MAX:
-        raise DomainError(f"n_max must lie in [1, {_DIRECT_N_MAX}]")
-    if n_max ** k > _DIRECT_COST_GUARD:
-        raise ResourceError("N^k exceeds the direct-sum cost guard")
+    pt = direct_point(s, k, n_max)
     if n_max > 1 and sieve.limit < n_max:
         raise DomainError("sieve does not cover n_max")
 

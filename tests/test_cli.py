@@ -49,7 +49,8 @@ def test_perms_brute_matches_exact(capsys):
     assert code == code2 == 0 and out == out2
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DIRLAW_CACHE", str(tmp_path))
     assert run(capsys, "integers", "exact", "--x", "4")[0] == 2  # no --u
     assert run(capsys, "nonsense")[0] == 2
     code, _, err = run(capsys, "integers", "exact", "--x", "4", "--k", "2",
@@ -58,6 +59,12 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "polys", "exact", "--q", "4", "--n", "2",
                        "--k", "2", "--u", "0.5")
     assert code == 2 and "prime" in err
+    # the domain is checked before a sieve is built or cached
+    for nmax in ("5000000", "0"):
+        code, _, err = run(capsys, "series", "direct", "--s", "2,2",
+                           "--nmax", nmax)
+        assert code == 2 and "n_max must lie in [1, 100000]" in err
+    assert not (tmp_path / "spf_5000000.bin").exists()
 
 
 @pytest.mark.parametrize("spelling", ["residues:abc", "coprime:1-x",
@@ -68,13 +75,19 @@ def test_malformed_model_is_usage_error(capsys, spelling):
     assert code == 2 and "error" in err and "Traceback" not in err
 
 
-def test_resource_error_exit_code(capsys):
+def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DIRLAW_CACHE", str(tmp_path))
     code, _, err = run(capsys, "integers", "run", "--x", "200000000",
                        "--k", "2")
     assert code == 3 and "error" in err
     code, _, err = run(capsys, "polys", "exact", "--q", "17", "--n", "2",
                        "--k", "2", "--u", "0.5")
     assert code == 3 and "error" in err
+    # the volume guard fires before a sieve is built or cached
+    code, _, err = run(capsys, "integers", "boxsum", "--x",
+                       "20000,20000,20000", "--k", "3")
+    assert code == 3 and "box volume exceeds the 1e8 guard" in err
+    assert not (tmp_path / "spf_20000.bin").exists()
 
 
 def test_integrity_error_exit_code(capsys, tmp_path, monkeypatch):

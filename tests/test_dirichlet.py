@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import betainc
@@ -26,10 +28,68 @@ def test_beta_marginal_matches_scipy():
             assert got == pytest.approx(betainc(a, b, u), abs=1e-9)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_simplex_mass_is_one(k):
     alpha = (1.0 / k,) * k
     assert abs(simplex_mass(alpha) - 1.0) <= 1e-6
+
+
+def _box_oracle_k3(alpha, u):
+    """F(u_1, u_2) for Dir(a_1, a_2, a_3) as a 20-digit 2-D box integral.
+
+    The substitution t_i = u_i s_i^(1/a_i) takes t_i^(a_i - 1) dt_i to
+    (u_i^a_i / a_i) ds_i, so mpmath integrates the smooth remainder
+    (1 - t_1 - t_2)^(a_3 - 1) over the unit square; no stick-breaking.
+    """
+    with mpmath.workdps(20):
+        a1, a2, a3 = (mpmath.mpf(a) for a in alpha)
+        u1, u2 = (mpmath.mpf(c) for c in u)
+
+        def face(s1, s2):
+            return (1 - u1 * s1 ** (1 / a1) - u2 * s2 ** (1 / a2)) ** (a3 - 1)
+
+        norm = mpmath.gamma(a1 + a2 + a3) / (
+            mpmath.gamma(a1) * mpmath.gamma(a2) * mpmath.gamma(a3))
+        scale = u1 ** a1 / a1 * u2 ** a2 / a2
+        return float(norm * scale * mpmath.quad(face, [0, 1], [0, 1]))
+
+
+@pytest.mark.parametrize("alpha,u", [
+    ((0.4, 0.7, 1.9), (0.3, 0.4)),
+    ((1 / 3, 1 / 3, 1 / 3), (0.3, 0.4)),
+    ((0.25, 0.25, 0.5), (0.125, 0.5)),
+])
+def test_cdf_k3_matches_box_integral(alpha, u):
+    assert abs(cdf(alpha, u) - _box_oracle_k3(alpha, u)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,u", [
+    ((24.0, 28.0, 38.0), (0.5, 0.42)),
+    ((37.0, 15.0, 32.0), (0.73, 0.22)),
+])
+def test_cdf_large_alpha_matches_beta_mixture(alpha, u):
+    # Large alpha puts the mass where s = (t/u)^alpha is tiny, so these
+    # corners need log(s) to full relative accuracy near s = 0.  The
+    # oracle is the Beta(a_1, a_2 + a_3) mixture of mpmath's incomplete
+    # beta function, integrated in t on 40 pieces at 20 digits.
+    a1, a2, a3 = alpha
+    with mpmath.workdps(20):
+        def mix(t):
+            return (t ** (a1 - 1) * (1 - t) ** (a2 + a3 - 1) * mpmath.betainc(
+                a2, a3, 0, min(1, u[1] / (1 - t)), regularized=True))
+
+        want = mpmath.quad(mix, mpmath.linspace(0, u[0], 41)) / mpmath.beta(
+            a1, a2 + a3)
+    assert abs(cdf(alpha, u) - float(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("u", [(0.1, 0.2, 0.3), (0.125, 0.375, 0.5),
+                               (0.05, 0.25, 0.6)])
+def test_cdf_k4_is_permutation_invariant(u):
+    # Dir(1/4, ..., 1/4) is exchangeable, so F(u) ignores the order of u
+    alpha = (0.25,) * 4
+    vals = [cdf(alpha, p) for p in itertools.permutations(u)]
+    assert max(vals) - min(vals) <= 1e-12
 
 
 def test_full_rectangle_has_full_mass():
