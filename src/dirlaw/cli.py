@@ -27,11 +27,13 @@ from .caches import get_irreducibles, get_spf_sieve
 from .dirichlet import cdf, density, sample_many
 from .errors import (DomainError, IntegrityError, ResourceError,
                      SingularityError, UnsupportedError)
-from .integers import (box_floors, convergence_study, exact_lhs, mc_lhs,
-                       sup_deviation, weighted_sum_S)
+from .integers import (box_floors, convergence_study, exact_lhs,
+                       grid_bins, mc_corner, mc_lhs, sup_deviation,
+                       weighted_sum_S)
 from .perms import deviation_perm, lhs_perm_brute, lhs_perm_exact
 from .polyfield import deviation_poly, exact_lhs_poly
-from .report import DeviationReport, convergence_csv, fmt, report_csv
+from .report import (DeviationReport, convergence_csv, fmt,
+                     rect_fractions, report_csv)
 from .series import (a0_local_check, d_direct, d_euler, direct_point,
                      prime_sum_diag)
 
@@ -231,6 +233,7 @@ def _cmd_dirichlet_sample(args) -> int:
 
 def _cmd_integers_exact(args) -> int:
     model = _model_for(args, args.k)
+    rect_fractions(args.u, model.k)    # domain, before sieving
     sieve = get_spf_sieve(args.x)
     value = exact_lhs(args.x, model.k, model, args.u, sieve)
     print(_fmt_value(value))
@@ -239,19 +242,20 @@ def _cmd_integers_exact(args) -> int:
 
 def _cmd_integers_run(args) -> int:
     model = _model_for(args, args.k)
+    bins = grid_bins(args.grid)        # domain, before sieving
     sieve = get_spf_sieve(args.x)
     report = sup_deviation(args.x, model.k, model, args.grid, sieve,
                            shards=_shards(args))
-    step = Fraction(args.grid)
     params = {"x": args.x, "k": model.k, "model": args.model,
-              "grid": str(step), "threads": _shards(args),
+              "grid": str(Fraction(args.grid)), "threads": _shards(args),
               "format": args.format}
-    _emit_reports([report], args, "integers", params, bins=int(1 / step))
+    _emit_reports([report], args, "integers", params, bins=bins)
     return 0
 
 
 def _cmd_integers_mc(args) -> int:
     model = _model_for(args, args.k)
+    mc_corner(model.k, model, args.u, args.samples)  # before sieving
     sieve = get_spf_sieve(args.x)
     est, err = mc_lhs(args.x, model.k, model, args.u, args.samples,
                       args.seed, sieve)
@@ -262,6 +266,7 @@ def _cmd_integers_mc(args) -> int:
 def _cmd_integers_converge(args) -> int:
     model = _model_for(args, args.k)
     xs = sorted(args.x)
+    grid_bins(args.grid)               # domain, before sieving
     sieve = get_spf_sieve(max(xs))
     reports = convergence_study(xs, model.k, model, args.grid, sieve,
                                 shards=_shards(args))

@@ -10,10 +10,18 @@ where the inner sum runs over ordered k-tuples with product n whose
 first k-1 parts satisfy d_i <= n^(u_i).  As x grows L(x, u) approaches
 the Dirichlet rectangle CDF attached to the model.
 
-Tuples are never materialized as divisor lists: the enumeration recurses
-over the primes of n, choosing a weak composition of each exponent, so
-the cost is one visit per tuple with O(1) amortized bookkeeping and the
-G weight accumulated along the way.
+A tuple is fixed by one weak composition of v_p(n) into k parts at each
+prime p of n.  ``_LocalTables`` calls the model's local weights once per
+prime power p^v <= x and keeps, for each, the compositions G admits with
+their float weights, the local G sum and f(p^v).  The float engines then
+walk a run of n at a time with numpy only: factor the run from the
+sieve into prime-power slots, drop the n with f(n) = 0, and expand the
+tuples slot by slot (smallest prime first) while accumulating log d_j
+and the G weight.  The histogram deposits with one ``np.bincount`` per
+run, in tuple order, into one block of cells per chunk of the fixed
+chunk list, so its bits depend on that list alone; the float
+``exact_lhs`` sums the in-box weight per n.  Exact mode keeps a per-n
+recursion over Fractions as the oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +46,9 @@ from .report import (DeviationReport, deviation_report, rect_fractions,
 _EXACT_X_LIMIT = 10_000_000
 _BIN_RANGE = (10, 2000)
 _CELL_GUARD = 100_000_000
-_MERGE_CHUNKS = 256        # fixed reduction width; independent of shards
+_MERGE_CHUNKS = 256        # fewest chunks of the fixed reduction order
+_CHUNK_N = 512             # most n per chunk beyond 256 chunks
+_PASS_TUPLES = 1 << 12     # tuples per walker pass, roughly
 # Tie guards: d = n^u holds exactly on a measure-zero set but hits every
 # perfect power; comparisons lean a hair toward inclusion so those ties
 # land on the <= side, matching the exact integer comparison d <= floor(n^u).
@@ -77,12 +87,11 @@ class HistogramGrid:
         return self
 
 
-def _cell_of(r: float, bins: int) -> int:
-    """Bin index for a value with scaled position r = v / w in [0, bins]."""
-    c = math.ceil(r * (1.0 - _REL_GUARD) - _ABS_GUARD) - 1
-    if c < 0:
-        return 0
-    return min(c, bins - 1)
+def _cells(r: np.ndarray, bins: int) -> np.ndarray:
+    """Bin indices for scaled positions r = v / w in [0, bins]."""
+    c = np.ceil(r * (1.0 - _REL_GUARD) - _ABS_GUARD).astype(np.int64) - 1
+    np.clip(c, 0, bins - 1, out=c)
+    return c
 
 
 def _query_index(u: float, bins: int) -> int:
@@ -110,40 +119,159 @@ def empirical_cdf(grid: HistogramGrid, rect) -> float:
     return float(grid.cum[idx])
 
 
-def _walk_leaf_weights(fn: FactoredInteger, model: WeightModel,
-                       as_float: bool):
-    """Yield (log_parts, weight) over ordered k-tuples with product n.
+@dataclass
+class _Leaves:
+    """Every tuple of the n in one range with f(n) != 0.
 
-    ``log_parts`` holds log d_i for the first k-1 coordinates; weight is
-    the G value of the full k-tuple.
+    Per n: ``n``, ``log_n`` (math.log, 0 at n = 1), ``f`` and ``g_total``
+    (the product of the local G sums).  Per tuple, in the order of a
+    recursion over the primes of n, smallest first: ``owner`` (index
+    into ``n``), ``logd`` (one array per coordinate j < k of log d_j,
+    summed in prime order) and its G weight ``g``.
     """
-    k = model.k
-    facs = fn.factors
-    logs = [math.log(p) for p, _ in facs]
-    out = []
 
-    def rec(i: int, logd: list[float], w):
-        if i == len(facs):
-            out.append((tuple(logd), w))
-            return
-        p, v = facs[i]
-        lp = logs[i]
-        for comp in compositions(v, k):
-            g = model.g_local(p, comp)
-            if g == 0:
-                continue
-            nxt = list(logd)
-            for j in range(k - 1):
-                if comp[j]:
-                    nxt[j] += comp[j] * lp
-            rec(i + 1, nxt, w * (float(g) if as_float else g))
+    n: np.ndarray
+    log_n: np.ndarray
+    f: np.ndarray
+    g_total: np.ndarray
+    owner: np.ndarray
+    logd: list[np.ndarray]
+    g: np.ndarray
 
-    rec(0, [0.0] * (k - 1), 1.0 if as_float else Fraction(1))
-    return out
+
+class _LocalTables:
+    """A model's local weights at every prime power <= x, compiled once.
+
+    Each prime power q = p^v maps to an entry holding log p and a table:
+    the compositions of v that G admits (rows), their float G weights,
+    the local G sum and f(p^v).  Identical tables are stored once, so
+    most models keep one table per exponent.  Entry 0 stands for q = 1:
+    one all-zero row of weight 1, which pads the n with fewer primes.
+    """
+
+    def __init__(self, model: WeightModel, x: int, sieve: SpfSieve):
+        k = model.k
+        self.k = k
+        self.model_id = model.model_id
+        spf = sieve.spf[: x + 1]
+        entry_of = np.zeros(x + 1, dtype=np.int32)
+        interned: dict = {}        # (f, G sum, rows, G weights) -> id
+
+        def intern(*table) -> int:
+            return interned.setdefault(table, len(interned))
+
+        entry_table = [intern(1.0, 1.0, ((0,) * k,), (1.0,))]
+        entry_logp = [0.0]
+        primes = np.flatnonzero(
+            spf[2:] == np.arange(2, x + 1, dtype=spf.dtype)) + 2
+        for p in primes.tolist():
+            lp = math.log(p)
+            q, v = p, 1
+            while q <= x:
+                f = model.f_local(p, v)
+                if f == 0:
+                    tid = intern(0.0, 0.0, (), ())
+                else:
+                    rows, gs = [], []
+                    for comp in compositions(v, k):
+                        g = model.g_local(p, comp)
+                        if g != 0:
+                            rows.append(comp)
+                            gs.append(g)
+                    tid = intern(float(f), float(sum(gs)), tuple(rows),
+                                 tuple(float(g) for g in gs))
+                entry_of[q] = len(entry_table)
+                entry_table.append(tid)
+                entry_logp.append(lp)
+                q *= p
+                v += 1
+        # power[n]: the power of spf[n] that exactly divides n
+        power = spf.astype(np.int32)
+        power[:2] = 1
+        for p in primes[primes <= math.isqrt(x)].tolist():
+            q = p * p
+            while q <= x:
+                view = power[q:: q]
+                view[spf[q:: q] == p] = q
+                q *= p
+        # n = power[n] * cofactor[n]; the walker steps along the cofactors
+        self._entry = entry_of[power]
+        self._cofactor = np.arange(x + 1, dtype=np.int32) // power
+        tables = list(interned)
+        self._table = np.array(entry_table, dtype=np.int64)
+        self._logp = np.array(entry_logp)
+        self._f = np.array([t[0] for t in tables])
+        self._g_sum = np.array([t[1] for t in tables])
+        counts = np.array([len(t[2]) for t in tables], dtype=np.int64)
+        self._row_count = counts
+        self._row_start = np.cumsum(counts) - counts
+        rows = [r for t in tables for r in t[2]]
+        exps = np.array(rows, dtype=np.float64).reshape(-1, k)
+        self._row_exps = [exps[:, j].copy() for j in range(k - 1)]
+        self._row_g = np.array([g for t in tables for g in t[3]])
+
+    def _slots(self, lo: int, hi: int):
+        """Per n in [lo, hi): the entry of each prime power (one array per
+        prime, smallest first), f(n), G_total(n) and the tuple count."""
+        m = np.arange(lo, hi, dtype=np.int64)
+        f = np.ones(len(m))
+        g_total = np.ones(len(m))
+        count = np.ones(len(m), dtype=np.int64)
+        slots = []
+        while (entry := self._entry[m]).any():
+            tid = self._table[entry]
+            f *= self._f[tid]
+            g_total *= self._g_sum[tid]
+            count *= self._row_count[tid]
+            slots.append(entry)
+            m = self._cofactor[m]
+        return slots, f, g_total, count
+
+    def tuples(self, ranges: list[tuple[int, int]]) -> list[int]:
+        """How many tuples ``leaves`` returns on each of consecutive
+        ranges (lo, hi)."""
+        lo = ranges[0][0]
+        count = self._slots(lo, ranges[-1][1])[3]
+        return np.add.reduceat(count, [a - lo for a, _ in ranges]).tolist()
+
+    def leaves(self, lo: int, hi: int) -> _Leaves:
+        """The tuples of every n in [lo, hi) with f(n) != 0."""
+        slots, f, g_total, _ = self._slots(lo, hi)
+        keep = np.flatnonzero(f)
+        n = keep + lo
+        f = f[keep]
+        g_total = g_total[keep]
+        bad = np.flatnonzero(g_total <= 0.0)
+        if len(bad):
+            raise IntegrityError(f"model {self.model_id} vanishes on "
+                                 f"n={int(n[bad[0]])} with f>0")
+        log_n = np.fromiter(map(math.log, n.tolist()), float, len(n))
+        owner = np.arange(len(n), dtype=np.int32)
+        logd = [np.zeros(len(n)) for _ in range(self.k - 1)]
+        g = np.ones(len(n))
+        for entry in slots:
+            entry = entry[keep]
+            tid = self._table[entry][owner]
+            count = self._row_count[tid]
+            parent = np.repeat(np.arange(len(owner), dtype=np.int32), count)
+            # a child's row: its table's first row plus its rank among
+            # the children of its parent
+            row = np.repeat(self._row_start[tid] - (np.cumsum(count)
+                                                    - count), count)
+            row += np.arange(len(parent))
+            owner = owner[parent]
+            g = g[parent] * self._row_g[row]
+            logp = self._logp[entry][owner]
+            logd = [d[parent] + e[row] * logp
+                    for d, e in zip(logd, self._row_exps)]
+        return _Leaves(n, log_n, f, g_total, owner, logd, g)
 
 
 def _walk_leaf_parts(fn: FactoredInteger, model: WeightModel):
-    """Like _walk_leaf_weights but with integer parts, for exact mode."""
+    """(parts, G) over the ordered k-tuples with product n, in Fractions.
+
+    ``parts`` holds d_1..d_{k-1}; the exact-mode oracle of the walker.
+    """
     k = model.k
     facs = fn.factors
     out = []
@@ -191,8 +319,8 @@ def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
 
     Exact mode needs rational corners, a rational-valued model and
     x <= 1e7; it resolves each boundary d <= n^(u) by exact integer
-    power comparison.  The floating path uses the tie-guarded logarithm
-    comparison instead.
+    power comparison.  The floating path walks the histogram's tuples
+    and uses the tie-guarded logarithm comparison instead.
     """
     _check_engine_args(x, k, model, sieve)
     u = rect_fractions(rect, k)
@@ -227,32 +355,23 @@ def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
             raise IntegrityError("model weight f vanishes on [1, x]")
         return num / den
 
-    uf = [float(c) for c in u]
-    num_terms: list[float] = []
-    den_terms: list[float] = []
-    for n in range(1, x + 1):
-        fn = factorize(n, sieve)
-        f = model.f_value(fn)
-        if f == 0:
-            continue
-        f = float(f)
-        den_terms.append(f)
-        ln = math.log(n)
-        caps = [c * ln * (1.0 + _REL_GUARD) + _ABS_GUARD for c in uf]
-        good = 0.0
-        total = 0.0
-        for logd, g in _walk_leaf_weights(fn, model, as_float=True):
-            total += g
-            if all(ld <= cap for ld, cap in zip(logd, caps)):
-                good += g
-        if total <= 0.0:
-            raise IntegrityError(
-                f"model {model.model_id} vanishes on n={n} with f>0")
-        num_terms.append(f * good / total)
-    den = math.fsum(den_terms)
+    tables = _LocalTables(model, x, sieve)
+    num_terms: list[np.ndarray] = []
+    den_terms: list[np.ndarray] = []
+    for chunks in _passes(tables, x, 1):
+        lv = tables.leaves(chunks[0][0], chunks[-1][1])
+        inside = np.ones(len(lv.g), dtype=bool)
+        for c, logd in zip(u, lv.logd):
+            caps = float(c) * lv.log_n * (1.0 + _REL_GUARD) + _ABS_GUARD
+            inside &= logd <= caps[lv.owner]
+        good = np.bincount(lv.owner, weights=np.where(inside, lv.g, 0.0),
+                           minlength=len(lv.n))
+        num_terms.append(lv.f * good / lv.g_total)
+        den_terms.append(lv.f)
+    den = math.fsum(np.concatenate(den_terms))
     if den <= 0.0:
         raise IntegrityError("model weight f vanishes on [1, x]")
-    return math.fsum(num_terms) / den
+    return math.fsum(np.concatenate(num_terms)) / den
 
 
 def _check_engine_args(x: int, k: int, model: WeightModel, sieve: SpfSieve):
@@ -267,10 +386,34 @@ def _check_engine_args(x: int, k: int, model: WeightModel, sieve: SpfSieve):
 def _chunk_ranges(x: int):
     """Fixed n-range decomposition; the merge order never depends on the
     worker count, so results are bitwise reproducible for any shards."""
-    chunks = min(_MERGE_CHUNKS, x)
+    chunks = min(max(_MERGE_CHUNKS, -(-x // _CHUNK_N)), x)
     bounds = [1 + (x * i) // chunks for i in range(chunks + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(chunks)
             if bounds[i] < bounds[i + 1]]
+
+
+def _passes(tables: _LocalTables, x: int,
+            cells: int) -> list[list[tuple[int, int]]]:
+    """Runs of consecutive chunks that one walker pass expands at once.
+
+    A pass still reduces each of its chunks on its own, so the grouping
+    moves no bits; it only sizes the numpy work.  A chunk's share is its
+    tuples plus its own block of ``cells`` output bins; a pass takes
+    about _PASS_TUPLES of that.
+    """
+    ranges = _chunk_ranges(x)
+    counts = []
+    for i in range(0, len(ranges), 32):     # at most 16k n at a time
+        counts += tables.tuples(ranges[i: i + 32])
+    passes: list[list[tuple[int, int]]] = []
+    size = _PASS_TUPLES
+    for rng, count in zip(ranges, counts):
+        if size + count + cells > _PASS_TUPLES:
+            passes.append([])
+            size = 0
+        passes[-1].append(rng)
+        size += count + cells
+    return passes
 
 
 def accumulate_histogram(x: int, k: int, model: WeightModel, bins: int,
@@ -297,52 +440,35 @@ def _accumulate(x: int, k: int, model: WeightModel, bins: int,
     if model.model_id == "uniform" and k == 2:
         hist, norm = _accumulate_uniform_k2(x, bins, sieve)
     else:
-        ranges = _chunk_ranges(x)
+        tables = _LocalTables(model, x, sieve)
 
-        def run_chunk(rng):
-            return _chunk_histogram(rng, k, model, bins, sieve)
+        def run_pass(chunks):
+            lv = tables.leaves(chunks[0][0], chunks[-1][1])
+            cut = np.searchsorted(lv.n, [hi for _, hi in chunks[:-1]])
+            ln_inv = np.divide(1.0, lv.log_n, out=np.zeros_like(lv.log_n),
+                               where=lv.log_n > 0.0)[lv.owner]
+            # flat cell index, offset by the chunk's own block of cells
+            cell = np.repeat(np.arange(len(chunks)), np.diff(
+                cut, prepend=0, append=len(lv.n)))[lv.owner]
+            for logd in lv.logd:
+                cell = cell * bins + _cells(logd * ln_inv * bins, bins)
+            weights = lv.g * (lv.f / lv.g_total)[lv.owner]
+            part = np.bincount(cell, weights=weights,
+                               minlength=len(chunks) * bins ** (k - 1))
+            norms = [math.fsum(f) for f in np.split(lv.f, cut)]
+            return zip(part.reshape((len(chunks),) + shape), norms)
 
-        if shards == 1:
-            parts = [run_chunk(r) for r in ranges]
-        else:
-            with ThreadPoolExecutor(max_workers=shards) as pool:
-                parts = list(pool.map(run_chunk, ranges))
+        passes = _passes(tables, x, bins ** (k - 1))
         hist = np.zeros(shape)
         norm = 0.0
-        for part_hist, part_norm in parts:      # fixed ascending order
-            hist += part_hist
-            norm += part_norm
+        with ThreadPoolExecutor(max_workers=shards) as pool:
+            for part in (pool.map if shards > 1 else map)(run_pass, passes):
+                for part_hist, part_norm in part:   # fixed chunk order
+                    hist += part_hist
+                    norm += part_norm
     grid = HistogramGrid(k=k, bins_per_dim=bins, weights=hist,
                          normalizer=norm)
     return grid.finalize()
-
-
-def _chunk_histogram(rng: tuple[int, int], k: int, model: WeightModel,
-                     bins: int, sieve: SpfSieve):
-    lo, hi = rng
-    hist = np.zeros((bins,) * (k - 1))
-    norm_terms = []
-    for n in range(lo, hi):
-        fn = factorize(n, sieve)
-        f = model.f_value(fn)
-        if f == 0:
-            continue
-        f = float(f)
-        norm_terms.append(f)
-        if n == 1:
-            hist[(0,) * (k - 1)] += f
-            continue
-        ln_inv = 1.0 / math.log(n)
-        leaves = _walk_leaf_weights(fn, model, as_float=True)
-        total = math.fsum(g for _, g in leaves)
-        if total <= 0.0:
-            raise IntegrityError(
-                f"model {model.model_id} vanishes on n={n} with f>0")
-        scale = f / total
-        for logd, g in leaves:
-            cell = tuple(_cell_of(ld * ln_inv * bins, bins) for ld in logd)
-            hist[cell] += g * scale
-    return hist, math.fsum(norm_terms)
 
 
 def _accumulate_uniform_k2(x: int, bins: int, sieve: SpfSieve):
@@ -352,23 +478,21 @@ def _accumulate_uniform_k2(x: int, bins: int, sieve: SpfSieve):
     to drive a vector op, so the Python-level loop count stays near
     2*sqrt(x) while numpy handles the ~x log x deposits.
     """
+    split = math.isqrt(x)
     tau = np.zeros(x + 1, dtype=np.int64)
-    for d in range(1, x + 1):
-        tau[d:: d] += 1
+    for d in range(1, split + 1):        # divisor pairs d <= n/d
+        tau[d * d] += 1
+        tau[d * (d + 1):: d] += 2
     inv_tau = np.zeros(x + 1)
     inv_tau[1:] = 1.0 / tau[1:]
     hist = np.zeros(bins)
     hist[0] += 1.0                       # n = 1 at the origin
-    split = math.isqrt(x)
     logn = np.zeros(x + 1)
     logn[2:] = np.log(np.arange(2, x + 1, dtype=np.float64))
 
     def deposit(d_arr, n_arr):
-        r = (np.log(d_arr) / logn[n_arr]) * bins
-        cells = np.ceil(r * (1.0 - _REL_GUARD) - _ABS_GUARD).astype(
-            np.int64) - 1
-        np.clip(cells, 0, bins - 1, out=cells)
-        np.add.at(hist, cells, inv_tau[n_arr])
+        cells = _cells((np.log(d_arr) / logn[n_arr]) * bins, bins)
+        hist[:] += np.bincount(cells, weights=inv_tau[n_arr], minlength=bins)
 
     for d in range(1, split + 1):
         n = np.arange(d, x + 1, d)
@@ -392,12 +516,7 @@ def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
     """
     _check_engine_args(x, k, model, sieve)
     step = Fraction(grid_step)
-    bins = Fraction(1) / step
-    if bins.denominator != 1:
-        raise DomainError("grid step must divide 1")
-    if step < Fraction(1, 100):
-        raise DomainError("grid step must be at least 0.01")
-    grid = _accumulate(x, k, model, int(bins), shards, sieve)
+    grid = _accumulate(x, k, model, grid_bins(step), shards, sieve)
     points = rect_grid(k, step)
     corners = [tuple(float(c) for c in u) for u in points]
     rate = min([1.0] + [float(a) for a in model.alpha_exact])
@@ -406,6 +525,17 @@ def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
         [empirical_cdf(grid, uf) for uf in corners],
         [cdf(model.alpha, uf, 1e-9) for uf in corners],
         math.log(x) ** rate)
+
+
+def grid_bins(grid_step) -> int:
+    """Bins per axis after ``sup_deviation``'s sieve-free grid checks."""
+    step = Fraction(grid_step)
+    bins = Fraction(1) / step
+    if bins.denominator != 1:
+        raise DomainError("grid step must divide 1")
+    if step < Fraction(1, 100):
+        raise DomainError("grid step must be at least 0.01")
+    return int(bins)
 
 
 def convergence_study(xs: Sequence[int], k: int, model: WeightModel,
@@ -427,12 +557,7 @@ def mc_lhs(x: int, k: int, model: WeightModel, rect, n_samples: int,
     cross-check the exact enumeration.
     """
     _check_engine_args(x, k, model, sieve)
-    if not model.f_bounded_by_one:
-        raise UnsupportedError(
-            "f-rejection sampling needs a model with f <= 1")
-    if n_samples < 1000:
-        raise DomainError("sample count must be at least 1000")
-    u = [float(c) for c in rect_fractions(rect, k)]
+    u = mc_corner(k, model, rect, n_samples)
     rng = np.random.Generator(np.random.PCG64(seed))
     from .arith import sample_factorization_rng
     hits = 0
@@ -454,6 +579,17 @@ def mc_lhs(x: int, k: int, model: WeightModel, rect, n_samples: int,
         hits += ok
     p = hits / n_samples
     return p, math.sqrt(p * (1.0 - p) / n_samples)
+
+
+def mc_corner(k: int, model: WeightModel, rect,
+              n_samples: int) -> list[float]:
+    """The corner as floats after ``mc_lhs``'s sieve-free checks."""
+    if not model.f_bounded_by_one:
+        raise UnsupportedError(
+            "f-rejection sampling needs a model with f <= 1")
+    if n_samples < 1000:
+        raise DomainError("sample count must be at least 1000")
+    return [float(c) for c in rect_fractions(rect, k)]
 
 
 # ------------------------------------------------ weighted two-log moments

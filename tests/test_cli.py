@@ -65,6 +65,18 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
                            "--nmax", nmax)
         assert code == 2 and "n_max must lie in [1, 100000]" in err
     assert not (tmp_path / "spf_5000000.bin").exists()
+    for argv, message in [
+            (("exact", "--x", "3000000", "--k", "2", "--u", "3/2"),
+             "rectangle coordinates must lie in [0, 1]"),
+            (("run", "--x", "3000000", "--k", "2", "--grid", "7/3"),
+             "grid step must divide 1"),
+            (("converge", "--x", "1000,3000000", "--k", "2", "--grid",
+              "1/200"), "grid step must be at least 0.01"),
+            (("mc", "--x", "3000000", "--k", "2", "--u", "1/2",
+              "--samples", "0"), "sample count must be at least 1000")]:
+        code, _, err = run(capsys, "integers", *argv)
+        assert code == 2 and message in err
+    assert not (tmp_path / "spf_3000000.bin").exists()
 
 
 @pytest.mark.parametrize("spelling", ["residues:abc", "coprime:1-x",

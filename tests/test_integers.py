@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dirlaw import integers
 from dirlaw.arith import factorize, parse_model
 from dirlaw.errors import DomainError, ResourceError, UnsupportedError
 from dirlaw.integers import (accumulate_histogram, convergence_study,
@@ -114,6 +117,60 @@ def test_histogram_matches_exact_at_grid_corners(sieve_small):
         emp = empirical_cdf(grid, (float(u),))
         ex = exact_lhs(x, 2, model, (u,), sieve_small, exact=False)
         assert emp == pytest.approx(ex, abs=5e-14)
+
+
+# x <= 2000, smaller where the exact Fraction oracle is slow
+WALKER_CASES = [("uniform", 3, 400), ("squarefree", 4, 300),
+                ("two-squares", 3, 600), ("coprime", 3, 400),
+                ("coprime:1-2", 3, 400), ("residues:3", None, 2000),
+                ("residues:4", None, 2000), ("residues:5", None, 2000),
+                ("residues:8", None, 2000), ("nested", 3, 400),
+                ("nested", 4, 150), ("tau-weights:3/2;1,2,3", 3, 250),
+                ("tau-weights:1/2;1,1", 2, 1000)]
+
+
+@pytest.mark.parametrize("spelling,k,x", WALKER_CASES)
+def test_walker_matches_exact_rationals_at_grid_corners(spelling, k, x,
+                                                        sieve_small):
+    model = parse_model(spelling, k)
+    rep = sup_deviation(x, model.k, model, Fraction(1, 5), sieve_small)
+    for u, emp in zip(rep.points, rep.empirical):
+        ex = float(exact_lhs(x, model.k, model, u, sieve_small, exact=True))
+        fl = exact_lhs(x, model.k, model, u, sieve_small, exact=False)
+        assert abs(emp - ex) <= 5e-14, (u, emp, ex)
+        assert abs(fl - ex) <= 5e-14, (u, fl, ex)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=st.sampled_from([(s, k) for s, k, _ in WALKER_CASES]
+                            + [("tau-weights:2;1,3,1/2", 3),
+                               ("coprime:1-3", 4)]),
+       x=st.integers(1, 300), data=st.data())
+def test_walker_float_lhs_matches_exact_at_rational_corners(case, x, data,
+                                                            sieve_small):
+    model = parse_model(*case)
+    u = tuple(Fraction(data.draw(st.integers(0, 12)), 12)
+              for _ in range(model.k - 1))
+    ex = exact_lhs(x, model.k, model, u, sieve_small, exact=True)
+    fl = exact_lhs(x, model.k, model, u, sieve_small, exact=False)
+    assert abs(fl - float(ex)) <= 5e-14, (case, x, u, fl, ex)
+
+
+@pytest.mark.parametrize("spelling", ["nested", "tau-weights:1;1,2,3"])
+def test_walker_bits_ignore_shards_and_passes(spelling, sieve_small,
+                                              monkeypatch):
+    model = parse_model(spelling, 3)
+    base = accumulate_histogram(10_000, 3, model, 20, shards=1,
+                                sieve=sieve_small)
+    runs = [(shards, None) for shards in (2, 8)]
+    runs += [(1, 1), (2, 1 << 40)]     # one chunk per pass; one pass
+    for shards, pass_tuples in runs:
+        if pass_tuples is not None:
+            monkeypatch.setattr(integers, "_PASS_TUPLES", pass_tuples)
+        other = accumulate_histogram(10_000, 3, model, 20, shards=shards,
+                                     sieve=sieve_small)
+        assert base.weights.tobytes() == other.weights.tobytes()
+        assert base.cum.tobytes() == other.cum.tobytes()
 
 
 def test_histogram_shards_are_byte_identical(sieve_small):
