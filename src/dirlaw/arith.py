@@ -138,54 +138,6 @@ def rising_binoms(a, m: int) -> list:
     return out
 
 
-def _comb_vec(v: np.ndarray, k: int) -> np.ndarray:
-    """C(v + k - 1, k - 1) elementwise for small k; exact int64."""
-    out = np.ones_like(v)
-    for j in range(1, k):
-        out = out * (v + j) // j
-    return out
-
-
-class JointTau:
-    """tau_k(m * n) for n = 1..limit, from the prime exponents of m.
-
-    The base row tau_k(n) is built once; ``row`` then swaps, at every
-    prime p of m, the local factor C(v_p(n) + k - 1, k - 1) for
-    C(v_p(n) + v_p(m) + k - 1, k - 1).  Every step is an exact int64
-    division or product, so the row is exact whatever the prime order.
-    """
-
-    def __init__(self, limit: int, k: int, sieve: SpfSieve):
-        base = np.ones(limit + 1, dtype=np.int64)
-        for n in range(2, limit + 1):
-            base[n] = tau_k(factorize(n, sieve), k)
-        self.limit = limit
-        self.k = k
-        self._base = base[1:]
-        self._vp: dict[int, np.ndarray] = {}
-
-    def _vp_row(self, p: int) -> np.ndarray:
-        """v_p(n) for n = 1..limit, cached per prime."""
-        arr = self._vp.get(p)
-        if arr is None:
-            arr = np.zeros(self.limit + 1, dtype=np.int64)
-            q = p
-            while q <= self.limit:
-                arr[q:: q] += 1
-                q *= p
-            arr = self._vp[p] = arr[1:]
-        return arr
-
-    def row(self, exps: dict[int, int]) -> np.ndarray:
-        """tau_k(m * n) for n = 1..limit, where m = prod p^exps[p]."""
-        taus = self._base.copy()
-        for p, v_m in exps.items():
-            v_n = self._vp_row(p)
-            taus = taus // _comb_vec(v_n, self.k) \
-                * _comb_vec(v_n + v_m, self.k)
-        return taus
-
-
 @lru_cache(maxsize=4096)
 def compositions(v: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All weak compositions of v into k ordered parts, in a fixed order."""
@@ -316,18 +268,20 @@ def model_tau_weights(theta, lambdas: Sequence) -> WeightModel:
     _check_k(k)
     lam_sum = sum(lams)
 
-    def f_local(p, v, _th=th):
-        return rising_binoms(_th, v)[v]
+    # the local weights ignore p: compute each value once
+    f_of = lru_cache(maxsize=None)(lambda v: rising_binoms(th, v)[v])
 
-    def g_local(p, comp, _lams=lams):
+    @lru_cache(maxsize=None)
+    def g_of(comp):
         out = Fraction(1)
-        for lam, a in zip(_lams, comp):
+        for lam, a in zip(lams, comp):
             out *= rising_binoms(lam, a)[a]
         return out
 
     alpha = tuple(th * lam / lam_sum for lam in lams)
     return WeightModel(
-        model_id="tau-weights", k=k, f_local=f_local, g_local=g_local,
+        model_id="tau-weights", k=k, f_local=lambda p, v: f_of(v),
+        g_local=lambda p, comp: g_of(comp),
         alpha_exact=alpha, beta=alpha,
         f_bounded_by_one=(th <= 1),
     )

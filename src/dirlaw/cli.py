@@ -31,9 +31,9 @@ from .integers import (box_floors, convergence_study, exact_lhs,
                        grid_bins, mc_corner, mc_lhs, sup_deviation,
                        weighted_sum_S)
 from .perms import deviation_perm, lhs_perm_brute, lhs_perm_exact
-from .polyfield import deviation_poly, exact_lhs_poly
+from .polyfield import check_enumeration, deviation_poly, exact_lhs_poly
 from .report import (DeviationReport, convergence_csv, fmt,
-                     rect_fractions, report_csv)
+                     rect_fractions, rect_grid, report_csv)
 from .series import (a0_local_check, d_direct, d_euler, direct_point,
                      prime_sum_diag)
 
@@ -292,6 +292,8 @@ def _poly_table(q: int, n: int):
 
 
 def _cmd_polys_exact(args) -> int:
+    rect_fractions(args.u, args.k)     # domain, before the table
+    check_enumeration(args.q, args.n, args.k)
     value = exact_lhs_poly(args.q, args.n, args.k, args.u,
                            _poly_table(args.q, args.n))
     print(_fmt_value(value))
@@ -299,6 +301,8 @@ def _cmd_polys_exact(args) -> int:
 
 
 def _cmd_polys_run(args) -> int:
+    check_enumeration(args.q, args.n, args.k)  # before the table
+    rect_grid(args.k, args.grid)
     report = deviation_poly(args.q, args.n, args.k, args.grid,
                             _poly_table(args.q, args.n))
     params = {"q": args.q, "n": args.n, "k": args.k,
@@ -309,6 +313,9 @@ def _cmd_polys_run(args) -> int:
 
 def _cmd_polys_converge(args) -> int:
     ns = sorted(args.n)
+    for n in ns:                       # domain, before the table
+        check_enumeration(args.q, n, args.k)
+    rect_grid(args.k, args.grid)
     table = _poly_table(args.q, max(ns))
     reports = [deviation_poly(args.q, n, args.k, args.grid, table)
                for n in ns]

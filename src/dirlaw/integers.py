@@ -35,13 +35,14 @@ from typing import Sequence
 import numpy as np
 
 from . import quadrature
-from .arith import (FactoredInteger, JointTau, SpfSieve, WeightModel,
-                    compositions, factorize)
+from .arith import (FactoredInteger, SpfSieve, WeightModel, compositions,
+                    factorize)
 from .dirichlet import cdf
 from .errors import (DomainError, IntegrityError, ResourceError,
                      UnsupportedError)
 from .report import (DeviationReport, deviation_report, rect_fractions,
                      rect_grid)
+from .series import tau_box_sum
 
 _EXACT_X_LIMIT = 10_000_000
 _BIN_RANGE = (10, 2000)
@@ -599,6 +600,8 @@ def box_floors(x_vec: Sequence[float], k: int) -> list[int]:
     bounds = [float(v) for v in x_vec]
     if len(bounds) != k or k < 2:
         raise DomainError("the box needs exactly k >= 2 bounds")
+    if not all(math.isfinite(v) for v in bounds):
+        raise DomainError("box bounds must be finite")
     if any(v < math.e - 1e-12 for v in bounds):
         raise DomainError("box bounds must be at least e")
     size = 1.0
@@ -617,39 +620,13 @@ def weighted_sum_S(x_vec: Sequence[int], k: int, sieve: SpfSieve)\
     prod_j integral_1^{x_j} (log y)^(1/k + 1) dy / Gamma(1/k)^k and
     residual_ratio = (S - main) / main.
 
-    Per-coordinate logs are looked up from a math.log table and every
-    sum is exactly rounded (fsum), so the value is independent of the
-    evaluation order and bitwise reproducible against a plain nested
+    The sum is ``tau_box_sum`` over the axes (log d)^2 from math.log
+    (0.0 at d = 1), so it is bitwise reproducible against a plain nested
     loop that follows the same (log d_1)^2 * (log d_2)^2 / tau bracket.
     """
     xs = box_floors(x_vec, k)
-    if max(xs) > sieve.limit:
-        raise DomainError("sieve does not cover the box")
-
-    n_max = max(xs)
-    log_sq = np.zeros(n_max + 1)
-    for d in range(2, n_max + 1):        # math.log keeps the table
-        log_sq[d] = math.log(d) ** 2     # bit-identical to a plain loop
-    inner_n = xs[-1]
-    joint_tau = JointTau(inner_n, k, sieve)
-    inner_logsq = log_sq[1: inner_n + 1]
-    rows: list[float] = []
-
-    def descend(depth: int, outer_exps: dict[int, int],
-                outer_logsq: float):
-        if depth == k - 1:
-            terms = (outer_logsq * inner_logsq) / joint_tau.row(outer_exps)
-            rows.append(math.fsum(terms.tolist()))
-            return
-        for d in range(2, xs[depth] + 1):    # log 1 = 0 kills d = 1
-            fn = factorize(d, sieve)
-            exps = dict(outer_exps)
-            for p, v in fn.factors:
-                exps[p] = exps.get(p, 0) + v
-            descend(depth + 1, exps, outer_logsq * log_sq[d])
-
-    descend(0, {}, 1.0)
-    s_val = math.fsum(rows)
+    log_sq = [0.0] + [math.log(d) ** 2 for d in range(2, max(xs) + 1)]
+    s_val = tau_box_sum([log_sq[:x] for x in xs], sieve).real
 
     inv_k = 1.0 / k
     main = 1.0

@@ -388,13 +388,18 @@ def _box_mass(tensors, caps) -> Fraction:
     return total
 
 
-def _profile_tensors(q: int, n: int, k: int, table: IrreducibleTable):
-    """tau -> summed divisor-degree tensor over all monic F of degree n."""
+def check_enumeration(q: int, n: int, k: int):
+    """The table-free domain and cost checks of ``_profile_tensors``."""
     _check_q(q)
     if n < 1 or k < 2:
         raise DomainError("need n >= 1 and k >= 2")
     if q ** n > _ENUM_GUARD:
         raise ResourceError("q^n exceeds the enumeration guard")
+
+
+def _profile_tensors(q: int, n: int, k: int, table: IrreducibleTable):
+    """tau -> summed divisor-degree tensor over all monic F of degree n."""
+    check_enumeration(q, n, k)
     if table.q != q or table.max_deg < max(n // 2, 1):
         raise DomainError("table must cover the field up to degree n/2")
     profiles = _degree_profiles(q, n, table)

@@ -14,7 +14,9 @@ than a guessed tolerance.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import zeta as _zeta
 
-from .arith import (FactoredInteger, JointTau, SpfSieve, WeightModel,
-                    factorize, local_g_sum, primes_up_to)
+from .arith import (FactoredInteger, SpfSieve, WeightModel, factorize,
+                    local_g_sum, primes_up_to)
 from .errors import DomainError, IntegrityError, ResourceError
 
 _DIRECT_N_MAX = 100_000
@@ -41,6 +43,8 @@ class SeriesPoint:
     def __post_init__(self):
         if not self.s:
             raise DomainError("need at least one coordinate")
+        if not all(cmath.isfinite(c) for c in self.s):
+            raise DomainError("coordinates must be finite")
         if any(c.real <= 1.0 for c in self.s):
             raise DomainError("real parts must exceed 1")
 
@@ -75,48 +79,15 @@ def d_direct(s, k: int, n_max: int, sieve: SpfSieve)\
 
     Returns (value, tail) where tail >= the absolute truncation error:
     sum over j of prod_{i != j} zeta(sigma_i) * sum_{n > N} n^(-sigma_j),
-    using 1/tau <= 1.
-
-    The inner axis is vectorized; the joint divisor count is corrected
-    prime by prime from the outer coordinates' factorizations, which
-    keeps the cost near one vector op per outer tuple.
+    using 1/tau <= 1.  The value is ``tau_box_sum`` over the axes
+    n^(-s_j): ``_inv_power`` for the outer ones, ``_axis_powers`` last.
     """
     pt = direct_point(s, k, n_max)
-    if n_max > 1 and sieve.limit < n_max:
-        raise DomainError("sieve does not cover n_max")
-
     real_point = all(c.imag == 0.0 for c in pt.s)
-    inner = _axis_powers(pt.s[-1], n_max, real_point)
-    joint_tau = JointTau(n_max, k, sieve)
-    re_rows: list[float] = []
-    im_rows: list[float] = []
-
-    def row(exps: dict[int, int], coeff: complex):
-        terms = (coeff * inner) / joint_tau.row(exps)
-        if real_point:
-            re_rows.append(math.fsum(terms.tolist()))
-        else:
-            re_rows.append(math.fsum(terms.real.tolist()))
-            im_rows.append(math.fsum(terms.imag.tolist()))
-
-    def descend(depth: int, exps: dict[int, int], coeff: complex):
-        if depth == k - 1:
-            row(exps, coeff)
-            return
-        sj = pt.s[depth]
-        for n in range(1, n_max + 1):
-            if n == 1:
-                descend(depth + 1, exps, coeff)
-                continue
-            fn = factorize(n, sieve)
-            nxt = dict(exps)
-            for p, v in fn.factors:
-                nxt[p] = nxt.get(p, 0) + v
-            descend(depth + 1, nxt, coeff * _inv_power(n, sj, real_point))
-
-    descend(0, {}, 1.0 if real_point else complex(1.0))
-    value = complex(math.fsum(re_rows),
-                    math.fsum(im_rows) if im_rows else 0.0)
+    axes = [[_inv_power(n, sj, real_point) for n in range(1, n_max + 1)]
+            for sj in pt.s[:-1]]
+    axes.append(_axis_powers(pt.s[-1], n_max, real_point))
+    value = tau_box_sum(axes, sieve)
 
     tail = 0.0
     for j, sig_j in enumerate(pt.sigmas):
@@ -139,6 +110,108 @@ def _axis_powers(s: complex, n_max: int, real_point: bool) -> np.ndarray:
     if real_point:
         return n ** -s.real
     return np.exp(-s * np.log(n))
+
+
+# ------------------------------------------------ the tau-weighted box sum
+
+_BLOCK_CELLS = 1 << 20      # cells of one block of rows by the last axis
+
+
+def tau_box_sum(axes, sieve: SpfSieve) -> complex:
+    """Sum of a_1(n_1) ... a_k(n_k) / tau_k(n_1 ... n_k) over the box
+    n_j <= ``len(axes[j])``, where ``axes[j][i]`` is a_j(i + 1).
+
+    The value is the fsum over the outer tuples (n_1, ..., n_{k-1}) of
+    each row's fsum over n_k of (c * a_k(n_k)) / tau_k, with
+    c = 1.0 * a_1(n_1) * ... * a_{k-1}(n_{k-1}) left to right, real and
+    imaginary parts apart.  Exact rounding frees it from the row order:
+    it is, bit for bit, a plain loop with the same bracket.
+
+    Only the first k - 2 coordinates loop in Python.  For each prefix
+    m = n_1 ... n_{k-2}, the rows a = n_{k-1} go in blocks of at most
+    ``_BLOCK_CELLS`` cells (or one row), the last coordinate b as columns.
+    """
+    k = len(axes)
+    if k == 1:
+        axes = [[1.0], *axes]             # one row, with c = 1.0
+    sizes = [len(ax) for ax in axes]
+    if max(sizes) > sieve.limit:
+        raise DomainError("sieve does not cover the box")
+    *outer, mid = [np.asarray(ax).tolist() for ax in axes[:-1]]
+    last = np.asarray(axes[-1])
+    n_rows, n_cols = sizes[-2:]
+    comb = _comb_weights(k, sum(n.bit_length() for n in sizes) + 1)
+    tau = _tau_table(max(sizes), comb)
+    primes = primes_up_to(n_cols)
+    step = max(1, _BLOCK_CELLS // n_cols)
+    re_rows, im_rows = [], []
+    for prefix in itertools.product(*(range(1, n + 1) for n in sizes[:-2])):
+        c, exps = 1.0, {}
+        for ax, n in zip(outer, prefix):
+            c = c * ax[n - 1]
+            for p, v in factorize(n, sieve).factors:
+                exps[p] = exps.get(p, 0) + v
+        for lo in range(1, n_rows + 1, step):
+            hi = min(lo + step, n_rows + 1)
+            coef = np.array([c * a for a in mid[lo - 1:hi - 1]])
+            terms = coef[:, None] * last
+            terms /= _tau_block(tau, comb, exps, lo, hi, n_cols, primes)
+            # memoryview hands fsum one float at a time: no row list
+            re_rows += [math.fsum(memoryview(row)) for row in terms.real]
+            if np.iscomplexobj(terms):
+                im_rows += [math.fsum(memoryview(row))
+                            for row in terms.imag]
+    return complex(math.fsum(re_rows), math.fsum(im_rows) if im_rows else 0.0)
+
+
+def _tau_table(limit: int, comb: np.ndarray) -> np.ndarray:
+    """tau_k(n) = prod_p comb[v_p(n)] for n = 0..limit (entry 0 unused),
+    where comb[v] = C(v + k - 1, k - 1), as exact floats."""
+    tau = np.ones(limit + 1)
+    for p in primes_up_to(limit):
+        tau[p::p] *= comb[1 + _vp(p, 1, limit // p + 1)]
+    return tau
+
+
+def _vp(p: int, lo: int, hi: int) -> np.ndarray:
+    """v_p(n) for n = lo..hi-1."""
+    v = np.zeros(hi - lo, dtype=np.int64)
+    q = p
+    while q < hi:
+        v[-lo % q::q] += 1
+        q *= p
+    return v
+
+
+def _trade(cells: np.ndarray, comb: np.ndarray, v_x, v_y):
+    """Swap comb[v_x[i]] comb[v_y[j]] for comb[v_x[i] + v_y[j]] in place."""
+    cells /= np.multiply.outer(comb[v_x], comb[v_y])
+    cells *= comb[np.add.outer(v_x, v_y)]
+
+
+def _tau_block(tau, comb, exps: dict[int, int], lo: int, hi: int,
+               n_cols: int, primes: list[int]) -> np.ndarray:
+    """tau_k(m a b) for rows a = lo..hi-1 and columns b = 1..n_cols.
+
+    ``exps`` holds the prime exponents of m.  The block starts from
+    tau_k(m) tau_k(a) tau_k(b) and trades local factors at every prime
+    that divides two of m, a and b.  The cells are integers below 2^53
+    that only shrink, so every float division and product is exact.
+    """
+    left = tau[lo:hi] * math.prod(comb[e] for e in exps.values())
+    for p, e in exps.items():            # tau_k(m a) at the primes of m
+        hot = slice(-lo % p, None, p)
+        _trade(left[None, hot], comb, [e], _vp(p, lo, hi)[hot])
+    if left.max() * tau[1:n_cols + 1].max() >= 2.0 ** 53:
+        raise ResourceError("tau_k products exceed the exact float range")
+    block = np.multiply.outer(left, tau[1:n_cols + 1])
+    for p in exps.keys() | set(primes[:bisect.bisect_left(primes, hi)]):
+        e = exps.get(p, 0)             # every row when p | m, else p | a
+        hot = slice(None) if e else slice(-lo % p, None, p)
+        if p <= n_cols and (e or lo + hot.start < hi):
+            _trade(block[hot, p - 1::p], comb, e + _vp(p, lo, hi)[hot],
+                   1 + _vp(p, 1, n_cols // p + 1))
+    return block
 
 
 @lru_cache(maxsize=32)
@@ -239,6 +312,8 @@ def prime_sum_diag(model: WeightModel, j: int, s: complex,
     regularity; the uniform model gives exactly 0.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite")
     if s.real <= 1.0:
         raise DomainError("Re s must exceed 1")
     if not 0 <= j < model.k:

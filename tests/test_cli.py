@@ -77,6 +77,31 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, "integers", *argv)
         assert code == 2 and message in err
     assert not (tmp_path / "spf_3000000.bin").exists()
+    # non-finite numbers are domain errors, not tracebacks or nan values
+    for argv, message in [
+            (("integers", "boxsum", "--x", "nan,10", "--k", "2"),
+             "box bounds must be finite"),
+            (("series", "direct", "--s", "nan,2", "--nmax", "5"),
+             "coordinates must be finite"),
+            (("series", "direct", "--s", "2,inf", "--nmax", "5"),
+             "coordinates must be finite"),
+            (("series", "euler", "--s", "nan,2"),
+             "coordinates must be finite"),
+            (("series", "primesum", "--k", "2", "--j", "0", "--s", "nan"),
+             "s must be finite")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and message in err and not out
+    # the polys arguments are checked before a table is built or cached
+    for argv, message in [
+            (("exact", "--q", "2", "--n", "6", "--k", "1", "--u", "1/2"),
+             "rectangle dimension must be k - 1"),
+            (("exact", "--q", "2", "--n", "8", "--k", "2", "--u", "3/2"),
+             "rectangle coordinates must lie in [0, 1]"),
+            (("run", "--q", "2", "--n", "10", "--k", "2", "--grid", "7/3"),
+             "grid step must lie in (0, 1/2]")]:
+        code, _, err = run(capsys, "polys", *argv)
+        assert code == 2 and message in err
+    assert not list(tmp_path.glob("irr_*.bin"))
 
 
 @pytest.mark.parametrize("spelling", ["residues:abc", "coprime:1-x",
@@ -100,6 +125,12 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
                        "20000,20000,20000", "--k", "3")
     assert code == 3 and "box volume exceeds the 1e8 guard" in err
     assert not (tmp_path / "spf_20000.bin").exists()
+    # so does the enumeration guard before an irreducible table
+    for argv in [("exact", "--q", "3", "--n", "20", "--k", "2", "--u", "1/2"),
+                 ("converge", "--q", "2", "--n", "24,26", "--k", "2")]:
+        code, _, err = run(capsys, "polys", *argv)
+        assert code == 3 and "q^n exceeds the enumeration guard" in err
+    assert not list(tmp_path.glob("irr_*.bin"))
 
 
 def test_integrity_error_exit_code(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -261,11 +262,37 @@ def test_weighted_sum_matches_double_loop(sieve_small):
     assert main > 0 and ratio == (total - main) / main
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_weighted_sum_matches_plain_loop_on_unequal_boxes(data, sieve_small):
+    k = data.draw(st.integers(2, 4))
+    top = {2: 150.0, 3: 25.0, 4: 9.0}[k]
+    bounds = [data.draw(st.floats(math.e, top)) for _ in range(k)]
+    total, _, _ = weighted_sum_S(bounds, k, sieve_small)
+
+    from dirlaw.arith import tau_k
+    log_sq = [0.0, 0.0] + [math.log(d) ** 2
+                           for d in range(2, math.floor(max(bounds)) + 1)]
+    rows = []
+    for outer in itertools.product(*(range(2, math.floor(x) + 1)
+                                     for x in bounds[:-1])):
+        c = 1.0
+        for d in outer:
+            c = c * log_sq[d]
+        m = math.prod(outer)
+        rows.append(math.fsum(
+            (c * log_sq[d]) / tau_k(factorize(m * d, sieve_small), k)
+            for d in range(2, math.floor(bounds[-1]) + 1)))
+    assert total == math.fsum(rows)  # bitwise, not approximately
+
+
 def test_weighted_sum_guards(sieve_small):
     with pytest.raises(DomainError):
         weighted_sum_S((2.0, 50.0), 2, sieve_small)  # below e
     with pytest.raises(ResourceError):
         weighted_sum_S((20_000.0, 20_000.0), 2, sieve_small)
+    with pytest.raises(DomainError):
+        weighted_sum_S((math.nan, 50.0), 2, sieve_small)
 
 
 def test_domain_errors(sieve_small):

@@ -1,12 +1,19 @@
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
-from dirlaw.arith import parse_model
+from dirlaw import series
+from dirlaw.arith import factorize, parse_model, tau_k
 from dirlaw.errors import DomainError, ResourceError
-from dirlaw.series import a0_local_check, d_direct, d_euler, prime_sum_diag
+from dirlaw.series import (a0_local_check, d_direct, d_euler, prime_sum_diag,
+                           tau_box_sum)
 
 
 def test_single_variable_is_partial_zeta(sieve_small):
@@ -88,3 +95,64 @@ def test_series_guards(sieve_small):
         d_direct((2.0, 2.0, 2.0), 3, 100_000, sieve_small)  # cost guard
     with pytest.raises(DomainError):
         d_euler((2.0, 2.0), 2, 1000, 10)  # local tail not certified
+    for point in ((math.nan, 2.0), (2.0, math.inf)):
+        with pytest.raises(DomainError):
+            d_direct(point, 2, 10, sieve_small)
+        with pytest.raises(DomainError):
+            d_euler(point, 2, 100, 30)
+    with pytest.raises(DomainError):
+        prime_sum_diag(parse_model("uniform", 2), 0, complex(2, math.nan),
+                       100)
+
+
+def plain_box_sum(axes, sieve):
+    """The box sum term by term: tau_k from factorize, c = 1.0 * a_1 *
+    ... * a_{k-1} left to right, one fsum per row of (c * a_k) / tau."""
+    k = len(axes)
+    re_rows, im_rows = [], []
+    for outer in itertools.product(*(range(1, len(ax) + 1)
+                                     for ax in axes[:-1])):
+        c, m = 1.0, 1
+        for ax, n in zip(axes, outer):
+            c, m = c * ax[n - 1], m * n
+        terms = [complex((c * a) / tau_k(factorize(m * b, sieve), k))
+                 for b, a in enumerate(axes[-1], start=1)]
+        re_rows.append(math.fsum(t.real for t in terms))
+        im_rows.append(math.fsum(t.imag for t in terms))
+    return complex(math.fsum(re_rows), math.fsum(im_rows))
+
+
+@st.composite
+def boxes(draw):
+    k = draw(st.integers(1, 4))
+    longest = {1: 300, 2: 60, 3: 16, 4: 7}[k]
+    value = st.floats(-2.0, 2.0)
+    if draw(st.booleans()):
+        value = st.builds(complex, value, value)
+    return [draw(st.lists(value, min_size=1, max_size=longest))
+            for _ in range(k)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(axes=boxes(), cells=st.sampled_from([1, 5, 64, 1 << 20]))
+def test_tau_box_sum_matches_plain_loop(axes, cells, sieve_small):
+    with mock.patch.object(series, "_BLOCK_CELLS", cells):
+        got = tau_box_sum(axes, sieve_small)
+    want = plain_box_sum(axes, sieve_small)
+    if all(isinstance(a, float) for ax in axes for a in ax):
+        assert got == want  # bitwise, not approximately
+    else:                   # Python and numpy may divide complex apart
+        scale = math.prod(max(map(abs, ax)) for ax in axes) \
+            * math.prod(map(len, axes))
+        assert abs(got - want) <= 1e-15 * scale
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), n_max=st.integers(1, 40),
+       sigma=st.floats(1.5, 4.0))
+def test_direct_sum_matches_plain_loop(k, n_max, sigma, sieve_small):
+    point = tuple(sigma + j / 4 for j in range(k))
+    value, _ = d_direct(point, k, n_max, sieve_small)
+    axes = [[n ** -s for n in range(1, n_max + 1)] for s in point[:-1]]
+    axes.append(np.arange(1, n_max + 1, dtype=np.float64) ** -point[-1])
+    assert value == plain_box_sum(axes, sieve_small)
