@@ -30,12 +30,13 @@ from typing import Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .errors import (DomainError, IntegrityError, SingularityError,
-                     UnsupportedError)
+from .errors import (DomainError, IntegrityError, ResourceError,
+                     SingularityError, UnsupportedError)
 from .quadrature import nodes
 
 _MAX_CDF_DIMS = 4          # CDF coordinate cap (k - 1)
 _MAX_LEVEL = 6             # finest tanh-sinh level tried by the CDF
+_SAMPLE_CELLS = 10 ** 7    # most samples * k floats ``sample_many`` holds
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,8 @@ class SimplexPoint:
     t: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.t):
+            raise DomainError("simplex coordinates must be finite")
         if any(c < 0.0 for c in self.t):
             raise DomainError("simplex coordinates must be nonnegative")
         if abs(sum(self.t) - 1.0) > 1e-12:
@@ -75,6 +78,8 @@ class RectQuery:
     u: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.u):
+            raise DomainError("rectangle corner coordinates must be finite")
         if any(c < 0.0 or c > 1.0 for c in self.u):
             raise DomainError("rectangle corner coordinates must lie in [0,1]")
 
@@ -224,6 +229,8 @@ def sample_many(params, n: int, seed: int) -> np.ndarray:
     alpha = _as_alpha(params)
     if n < 1:
         raise DomainError("sample count must be positive")
+    if n * len(alpha) > _SAMPLE_CELLS:
+        raise ResourceError("samples * k exceeds the 1e7 guard")
     rng = np.random.Generator(np.random.PCG64(seed))
     g = rng.gamma(shape=np.asarray(alpha), size=(n, len(alpha)))
     return g / g.sum(axis=1, keepdims=True)

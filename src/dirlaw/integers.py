@@ -20,8 +20,9 @@ tuples slot by slot (smallest prime first) while accumulating log d_j
 and the G weight.  The histogram deposits with one ``np.bincount`` per
 run, in tuple order, into one block of cells per chunk of the fixed
 chunk list, so its bits depend on that list alone; the float
-``exact_lhs`` sums the in-box weight per n.  Exact mode keeps a per-n
-recursion over Fractions as the oracle.
+``exact_lhs`` sums the in-box weight per n.  ``mc_lhs`` samples from the
+same tables: per prime slot it draws one row with probability G / G_sum.
+Exact mode keeps a per-n recursion over Fractions as the oracle.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ _CELL_GUARD = 100_000_000
 _MERGE_CHUNKS = 256        # fewest chunks of the fixed reduction order
 _CHUNK_N = 512             # most n per chunk beyond 256 chunks
 _PASS_TUPLES = 1 << 12     # tuples per walker pass, roughly
+_MC_BATCH = 1 << 14        # candidate n per Monte Carlo batch
 # Tie guards: d = n^u holds exactly on a measure-zero set but hits every
 # perfect power; comparisons lean a hair toward inclusion so those ties
 # land on the <= side, matching the exact integer comparison d <= floor(n^u).
@@ -210,11 +212,19 @@ class _LocalTables:
         exps = np.array(rows, dtype=np.float64).reshape(-1, k)
         self._row_exps = [exps[:, j].copy() for j in range(k - 1)]
         self._row_g = np.array([g for t in tables for g in t[3]])
+        # row keys for ``draw``: table id plus the table's cumulative G
+        # share up to and including the row, so the keys of table t lie
+        # in (t, t + 1] and its last row's key is t + 1 exactly
+        keys = []
+        for t, table in enumerate(tables):
+            if table[3]:
+                cum = np.cumsum(table[3])
+                keys.append(t + cum / cum[-1])
+        self._row_key = np.concatenate(keys)
 
-    def _slots(self, lo: int, hi: int):
-        """Per n in [lo, hi): the entry of each prime power (one array per
+    def _slots(self, m: np.ndarray):
+        """Per n in ``m``: the entry of each prime power (one array per
         prime, smallest first), f(n), G_total(n) and the tuple count."""
-        m = np.arange(lo, hi, dtype=np.int64)
         f = np.ones(len(m))
         g_total = np.ones(len(m))
         count = np.ones(len(m), dtype=np.int64)
@@ -228,25 +238,39 @@ class _LocalTables:
             m = self._cofactor[m]
         return slots, f, g_total, count
 
-    def tuples(self, ranges: list[tuple[int, int]]) -> list[int]:
-        """How many tuples ``leaves`` returns on each of consecutive
-        ranges (lo, hi)."""
-        lo = ranges[0][0]
-        count = self._slots(lo, ranges[-1][1])[3]
-        return np.add.reduceat(count, [a - lo for a, _ in ranges]).tolist()
+    def draw(self, entry: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One row of each entry's table per uniform u in [0, 1): the
+        first row whose cumulative G share exceeds u, so row r comes with
+        probability G(r) / G_sum of its table."""
+        tid = self._table[entry]
+        row = np.searchsorted(self._row_key, tid + u, side="right")
+        # t + u may round up to t + 1, one past the table's last row
+        return np.minimum(row, self._row_start[tid] + self._row_count[tid]
+                          - 1)
 
-    def leaves(self, lo: int, hi: int) -> _Leaves:
-        """The tuples of every n in [lo, hi) with f(n) != 0."""
-        slots, f, g_total, _ = self._slots(lo, hi)
-        keep = np.flatnonzero(f)
-        n = keep + lo
-        f = f[keep]
-        g_total = g_total[keep]
+    def check_g_total(self, n: np.ndarray, g_total: np.ndarray):
+        """Refuse n with f(n) > 0 whose tuples all have G = 0."""
         bad = np.flatnonzero(g_total <= 0.0)
         if len(bad):
             raise IntegrityError(f"model {self.model_id} vanishes on "
                                  f"n={int(n[bad[0]])} with f>0")
-        log_n = np.fromiter(map(math.log, n.tolist()), float, len(n))
+
+    def tuples(self, ranges: list[tuple[int, int]]) -> list[int]:
+        """How many tuples ``leaves`` returns on each of consecutive
+        ranges (lo, hi)."""
+        lo = ranges[0][0]
+        count = self._slots(np.arange(lo, ranges[-1][1]))[3]
+        return np.add.reduceat(count, [a - lo for a, _ in ranges]).tolist()
+
+    def leaves(self, lo: int, hi: int) -> _Leaves:
+        """The tuples of every n in [lo, hi) with f(n) != 0."""
+        slots, f, g_total, _ = self._slots(np.arange(lo, hi))
+        keep = np.flatnonzero(f)
+        n = keep + lo
+        f = f[keep]
+        g_total = g_total[keep]
+        self.check_g_total(n, g_total)
+        log_n = _log(n)
         owner = np.arange(len(n), dtype=np.int32)
         logd = [np.zeros(len(n)) for _ in range(self.k - 1)]
         g = np.ones(len(n))
@@ -266,6 +290,11 @@ class _LocalTables:
             logd = [d[parent] + e[row] * logp
                     for d, e in zip(logd, self._row_exps)]
         return _Leaves(n, log_n, f, g_total, owner, logd, g)
+
+
+def _log(n: np.ndarray) -> np.ndarray:
+    """math.log of each n (0 at n = 1)."""
+    return np.fromiter(map(math.log, n.tolist()), float, len(n))
 
 
 def _walk_leaf_parts(fn: FactoredInteger, model: WeightModel):
@@ -555,29 +584,35 @@ def mc_lhs(x: int, k: int, model: WeightModel, rect, n_samples: int,
 
     Samples n uniformly with f-rejection (only models with f <= 1) and
     one G-weighted tuple per accepted n.  An independent route used to
-    cross-check the exact enumeration.
+    cross-check the exact enumeration.  The draws come in batches of
+    ``_MC_BATCH`` candidates over the walker's local tables: one uniform
+    per candidate accepts it when below f(n), then one per prime slot,
+    smallest prime first, picks that prime's composition.
     """
     _check_engine_args(x, k, model, sieve)
     u = mc_corner(k, model, rect, n_samples)
     rng = np.random.Generator(np.random.PCG64(seed))
-    from .arith import sample_factorization_rng
+    tables = _LocalTables(model, x, sieve)
     hits = 0
     got = 0
     while got < n_samples:
-        n = int(rng.integers(1, x + 1))
-        fn = factorize(n, sieve)
-        f = float(model.f_value(fn))
-        if f < 1.0 and rng.random() >= f:
-            continue
-        got += 1
-        parts = sample_factorization_rng(fn, k, model, rng)
-        ln = math.log(n) if n > 1 else 0.0
-        ok = True
-        for c, d in zip(u, parts[: k - 1]):
-            if math.log(d) > c * ln * (1.0 + _REL_GUARD) + _ABS_GUARD:
-                ok = False
-                break
-        hits += ok
+        n = rng.integers(1, x + 1, size=_MC_BATCH)
+        slots, f, g_total, _ = tables._slots(n)
+        keep = np.flatnonzero(rng.random(_MC_BATCH) < f)[: n_samples - got]
+        n = n[keep]
+        tables.check_g_total(n, g_total[keep])
+        logd = np.zeros((k - 1, len(n)))
+        for entry in slots:
+            entry = entry[keep]
+            row = tables.draw(entry, rng.random(len(n)))
+            logp = tables._logp[entry]
+            for d, e in zip(logd, tables._row_exps):
+                d += e[row] * logp
+        log_n = _log(n)
+        inside = np.all([d <= c * log_n * (1.0 + _REL_GUARD) + _ABS_GUARD
+                         for c, d in zip(u, logd)], axis=0)
+        hits += int(np.count_nonzero(inside))
+        got += len(n)
     p = hits / n_samples
     return p, math.sqrt(p * (1.0 - p) / n_samples)
 

@@ -32,6 +32,7 @@ from .errors import DomainError, IntegrityError, ResourceError
 _DIRECT_N_MAX = 100_000
 _DIRECT_COST_GUARD = 4 * 10 ** 8    # total elementwise work in the sum
 _SIGMA_MIN_DIRECT = 1.5
+_EULER_COST_GUARD = 2 * 10 ** 9     # elementwise work of the local factors
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,11 @@ def d_euler(s, k: int, prime_max: int, v_max: int)\
     sig_min = min(pt.sigmas)
     if 2.0 ** (-(v_max + 1) * sig_min) >= 1e-15:
         raise DomainError("v_max too small for a sub-1e-15 local tail")
+    # the local factors' convolutions: about k (v_max + 1)^2 per prime
+    work = _prime_count_bound(prime_max) * k * (v_max + 1) ** 2
+    if work + k * v_max + 1 > _EULER_COST_GUARD:
+        raise ResourceError("pi(p_max) k (v_max + 1)^2 exceeds the "
+                            "Euler-product cost guard")
 
     value = complex(1.0)
     real_point = all(c.imag == 0.0 for c in pt.s)
@@ -270,6 +276,12 @@ def d_euler(s, k: int, prime_max: int, v_max: int)\
     vtail = k * b * float(_zeta((v_max + 1) * sig_min, 2))
     tail = abs(value) * math.expm1(over + vtail)
     return value, tail
+
+
+def _prime_count_bound(x: int) -> float:
+    """At least max(pi(x), 1): pi(x) < 1.25506 x / log x for x > 1
+    (Rosser and Schoenfeld 1962)."""
+    return 1.25506 * x / math.log(x) if x > 1 else 1.0
 
 
 @lru_cache(maxsize=4096)

@@ -88,7 +88,11 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
             (("series", "euler", "--s", "nan,2"),
              "coordinates must be finite"),
             (("series", "primesum", "--k", "2", "--j", "0", "--s", "nan"),
-             "s must be finite")]:
+             "s must be finite"),
+            (("dirichlet", "cdf", "--alpha", "1,1", "--u", "nan"),
+             "rectangle corner coordinates must be finite"),
+            (("dirichlet", "density", "--alpha", "1,1", "--t", "nan,0.5"),
+             "simplex coordinates must be finite")]:
         code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and not out
     # the polys arguments are checked before a table is built or cached
@@ -131,6 +135,14 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, "polys", *argv)
         assert code == 3 and "q^n exceeds the enumeration guard" in err
     assert not list(tmp_path.glob("irr_*.bin"))
+    # guards that refuse work before it starts, without a traceback
+    for argv, message in [
+            (("series", "euler", "--s", "2,2", "--pmax", "100", "--vmax",
+              "100000"), "exceeds the Euler-product cost guard"),
+            (("dirichlet", "sample", "--alpha", "1,1", "--samples",
+              "1000000000"), "samples * k exceeds the 1e7 guard")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and message in err and not out
 
 
 def test_integrity_error_exit_code(capsys, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from scipy.special import betainc
 from dirlaw.dirichlet import (DirichletParams, RectQuery, cdf, cdf_arcsine,
                               cdf_monte_carlo, density, sample, sample_many,
                               simplex_mass)
-from dirlaw.errors import DomainError, SingularityError
+from dirlaw.errors import DomainError, ResourceError, SingularityError
 
 ARCSINE = DirichletParams((0.5, 0.5))
 
@@ -132,6 +132,11 @@ def test_rect_query_rejects_out_of_range():
         RectQuery((1.5,))
     with pytest.raises(DomainError):
         cdf(ARCSINE, (-0.1,))
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            cdf(ARCSINE, (c,))
+        with pytest.raises(DomainError, match="finite"):
+            density(ARCSINE, (c, 0.5))
 
 
 def test_sampling_is_deterministic():
@@ -143,6 +148,8 @@ def test_sampling_is_deterministic():
     assert np.allclose(a.sum(axis=1), 1.0)
     pt = sample(ARCSINE, seed=0)
     assert math.isclose(sum(pt.t), 1.0, abs_tol=1e-12)
+    with pytest.raises(ResourceError):  # refused before any allocation
+        sample_many(ARCSINE, 10 ** 9, seed=0)
 
 
 def test_monte_carlo_agrees_with_quadrature():

@@ -1,15 +1,18 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from dirlaw import integers
-from dirlaw.arith import factorize, parse_model
-from dirlaw.errors import DomainError, ResourceError, UnsupportedError
+from dirlaw.arith import WeightModel, factorize, parse_model
+from dirlaw.errors import (DomainError, IntegrityError, ResourceError,
+                           UnsupportedError)
 from dirlaw.integers import (accumulate_histogram, convergence_study,
                              empirical_cdf, exact_lhs, mc_lhs, sup_deviation,
                              weighted_sum_S)
@@ -242,6 +245,80 @@ def test_mc_lhs_guards(sieve_small):
         with pytest.raises(UnsupportedError):
             mc_lhs(100, 2, unbounded, (Fraction(1, 2),), 2000, seed=0,
                    sieve=sieve_small)
+
+
+def _drawn_tuples(tables, n, size, seed):
+    """(d_1, ..., d_{k-1}) of ``size`` tuples of n, one ``draw`` per prime
+    slot, counted."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    slots, f, _, _ = tables._slots(np.full(size, n))
+    assert f[0] > 0
+    parts = np.ones((tables.k - 1, size), dtype=np.int64)
+    for entry in slots:
+        row = tables.draw(entry, rng.random(size))
+        p = np.rint(np.exp(tables._logp[entry])).astype(np.int64)
+        for d, e in zip(parts, tables._row_exps):
+            d *= p ** e[row].astype(np.int64)
+    return Counter(zip(*parts.tolist()))
+
+
+@pytest.mark.parametrize("spec,k", [("uniform", 3), ("squarefree", 3),
+                                    ("nested", 3), ("coprime:1-2", 3),
+                                    ("residues:4", 2)])
+def test_draw_matches_walker_tuple_weights(spec, k, sieve_small):
+    """Tuple frequencies of the per-slot sampler at fixed n against
+    G / sum G from the exact recursion: no tuple outside its support, and
+    a chi-square statistic below its 1e-6 upper quantile."""
+    model = parse_model(spec, k)
+    tables = integers._LocalTables(model, 4095, sieve_small)
+    size = 100_000
+    tested = 0
+    for n in (1, 12, 360, 2520, 2310, 4095):
+        fn = factorize(n, sieve_small)
+        if model.f_value(fn) == 0:
+            continue
+        want = dict(integers._walk_leaf_parts(fn, model))
+        total = sum(want.values())
+        got = _drawn_tuples(tables, n, size, seed=n)
+        assert set(got) <= set(want), (spec, n)
+        stat = sum((got[t] - size * float(g / total)) ** 2
+                   / (size * float(g / total)) for t, g in want.items())
+        if len(want) > 1:
+            assert stat < chi2.isf(1e-6, len(want) - 1), (spec, n, stat)
+        tested += 1
+    assert tested >= 2
+
+
+@pytest.mark.parametrize("spec", ["uniform", "squarefree", "nested",
+                                  "coprime:1-2", "two-squares",
+                                  "tau-weights:1;1,1,2"])
+def test_mc_lhs_within_four_sigma_k3(spec, sieve_small):
+    model = parse_model(spec, 3)
+    u = (Fraction(1, 2), Fraction(1, 5))
+    est, err = mc_lhs(3000, 3, model, u, 20_000, seed=5, sieve=sieve_small)
+    want = exact_lhs(3000, 3, model, u, sieve_small, exact=False)
+    assert 0.0 < err and abs(est - want) <= 4 * err
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 63), spec=st.sampled_from(
+    ["uniform", "squarefree", "nested", "two-squares"]))
+def test_mc_lhs_same_seed_same_bits(seed, spec, sieve_small):
+    model = parse_model(spec, 3)
+    u = (Fraction(1, 3), Fraction(1, 3))
+    first = mc_lhs(2000, 3, model, u, 3000, seed, sieve_small)
+    assert first == mc_lhs(2000, 3, model, u, 3000, seed, sieve_small)
+
+
+def test_mc_lhs_refuses_vanishing_g(sieve_small):
+    # f(3) = 1 but no split of 3 has G > 0
+    model = WeightModel(
+        model_id="no-split-at-3", k=2, f_local=lambda p, v: 1,
+        g_local=lambda p, comp: 0 if p == 3 and sum(comp) else 1,
+        alpha_exact=(Fraction(1, 2),) * 2, beta=(Fraction(1, 2),) * 2)
+    with pytest.raises(IntegrityError, match="vanishes"):
+        mc_lhs(100, 2, model, (Fraction(1, 2),), 1000, seed=0,
+               sieve=sieve_small)
 
 
 def test_weighted_sum_matches_double_loop(sieve_small):

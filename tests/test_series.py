@@ -95,6 +95,9 @@ def test_series_guards(sieve_small):
         d_direct((2.0, 2.0, 2.0), 3, 100_000, sieve_small)  # cost guard
     with pytest.raises(DomainError):
         d_euler((2.0, 2.0), 2, 1000, 10)  # local tail not certified
+    for pmax, vmax in ((100, 100_000), (1, 10 ** 9)):
+        with pytest.raises(ResourceError):  # Euler-product cost guard
+            d_euler((2.0, 2.0), 2, pmax, vmax)
     for point in ((math.nan, 2.0), (2.0, math.inf)):
         with pytest.raises(DomainError):
             d_direct(point, 2, 10, sieve_small)
