@@ -228,22 +228,6 @@ def total_g(model: WeightModel, fn: FactoredInteger):
     return out
 
 
-def indicator_two_squares(fn: FactoredInteger) -> int:
-    """1 when n is a sum of two squares (primes 3 mod 4 to even powers)."""
-    for p, v in fn.factors:
-        if p % 4 == 3 and v % 2 == 1:
-            return 0
-    return 1
-
-
-def indicator_squarefree(fn: FactoredInteger) -> int:
-    """1 when no prime divides n twice."""
-    for _, v in fn.factors:
-        if v > 1:
-            return 0
-    return 1
-
-
 # ----------------------------------------------------------------- models
 
 def model_uniform(k: int) -> WeightModel:

@@ -243,6 +243,7 @@ def _cmd_integers_exact(args) -> int:
 def _cmd_integers_run(args) -> int:
     model = _model_for(args, args.k)
     bins = grid_bins(args.grid)        # domain, before sieving
+    rect_grid(model.k, args.grid)
     sieve = get_spf_sieve(args.x)
     report = sup_deviation(args.x, model.k, model, args.grid, sieve,
                            shards=_shards(args))
@@ -267,6 +268,7 @@ def _cmd_integers_converge(args) -> int:
     model = _model_for(args, args.k)
     xs = sorted(args.x)
     grid_bins(args.grid)               # domain, before sieving
+    rect_grid(model.k, args.grid)
     sieve = get_spf_sieve(max(xs))
     reports = convergence_study(xs, model.k, model, args.grid, sieve,
                                 shards=_shards(args))

@@ -37,6 +37,7 @@ from .quadrature import nodes
 _MAX_CDF_DIMS = 4          # CDF coordinate cap (k - 1)
 _MAX_LEVEL = 6             # finest tanh-sinh level tried by the CDF
 _SAMPLE_CELLS = 10 ** 7    # most samples * k floats ``sample_many`` holds
+_MC_BATCH = 1_000_000      # draws per ``cdf_monte_carlo`` batch
 
 
 @dataclass(frozen=True)
@@ -236,12 +237,12 @@ def sample_many(params, n: int, seed: int) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
-def cdf_monte_carlo(params, rect, n_samples: int, seed: int,
-                    batch: int = 1_000_000) -> tuple[float, float]:
+def cdf_monte_carlo(params, rect, n_samples: int, seed: int)\
+        -> tuple[float, float]:
     """Monte Carlo estimate of the rectangle CDF: (estimate, stderr).
 
     The independent-route oracle for ``cdf``: draws are batched so memory
-    stays bounded at ~batch * k floats.
+    stays bounded at ~_MC_BATCH * k floats.
     """
     alpha = _as_alpha(params)
     u = _as_corner(rect)
@@ -254,7 +255,7 @@ def cdf_monte_carlo(params, rect, n_samples: int, seed: int,
     done = 0
     ua = np.asarray(u)
     while done < n_samples:
-        m = min(batch, n_samples - done)
+        m = min(_MC_BATCH, n_samples - done)
         g = rng.gamma(shape=np.asarray(alpha), size=(m, len(alpha)))
         t = g[:, :-1] / g.sum(axis=1, keepdims=True)
         hits += int(np.all(t <= ua, axis=1).sum())

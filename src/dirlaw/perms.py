@@ -147,39 +147,29 @@ def lhs_perm_exact(n: int, k: int, rect):
         cost *= c + 1
     if cost > _TERM_GUARD:
         raise ResourceError("block-size sum exceeds the term guard")
-    if n <= _EXACT_MAX_N:
-        binom = _binom_table(n, k, exact=True)
+    exact = n <= _EXACT_MAX_N
+    binom = _binom_table(n, k, exact)
 
-        def rec(i: int, remaining: int, weight: Fraction) -> Fraction:
-            if i == k - 1:
-                return weight * binom[remaining]
-            total = Fraction(0)
-            for m in range(0, min(caps[i], remaining) + 1):
-                total += rec(i + 1, remaining - m, weight * binom[m])
-            return total
-
-        return rec(0, n, Fraction(1))
-
-    binf = _binom_table(n, k, exact=False)
-
-    def recf(i: int, remaining: int, weight: float) -> float:
+    def rec(i: int, remaining: int, weight):
         if i == k - 2:
             hi = min(caps[i], remaining)
-            rev = binf[remaining - hi: remaining + 1][::-1]
-            return weight * float(np.dot(binf[: hi + 1], rev))
-        total = 0.0
+            rev = binom[remaining - hi: remaining + 1][::-1]
+            return weight * np.dot(binom[: hi + 1], rev)
+        total = 0 * weight
         for m in range(0, min(caps[i], remaining) + 1):
-            total += recf(i + 1, remaining - m, weight * binf[m])
+            total += rec(i + 1, remaining - m, weight * binom[m])
         return total
 
-    return recf(0, n, 1.0)
+    total = rec(0, n, Fraction(1) if exact else 1.0)
+    return total if exact else float(total)
 
 
 @lru_cache(maxsize=64)
-def _binom_table(n: int, k: int, exact: bool):
-    """C(m + 1/k - 1, m) for m = 0..n: Fractions, or a float array."""
+def _binom_table(n: int, k: int, exact: bool) -> np.ndarray:
+    """C(m + 1/k - 1, m) for m = 0..n: Fractions (an object array), or
+    floats."""
     if exact:
-        return tuple(rising_binoms(Fraction(1, k), n))
+        return np.array(rising_binoms(Fraction(1, k), n), dtype=object)
     return np.array(rising_binoms(1.0 / k, n))
 
 

@@ -1,10 +1,11 @@
 """Monic polynomials over prime fields F_q: arithmetic, an irreducible
 sieve, factorization, k-part divisor counts, and exact evaluation of the
-mean rectangle statistic over all monic polynomials of a given degree.
+mean rectangle statistic over all monic polynomials of a given degree
+from the irreducible counts I_q(d) alone.
 
 Polynomials are carried two ways: a PolyQ coefficient tuple for the
 public arithmetic ops, and a base-q integer code (coefficient i at digit
-q^i) for bulk enumeration.  A monic polynomial of degree d has code in
+q^i) for the irreducible sieve.  A monic polynomial of degree d has code in
 [q^d, 2*q^d).  Code order within a degree is the lexicographic order of
 the coefficient vector read from the top.
 """
@@ -14,19 +15,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import compositions
 from .dirichlet import cdf
 from .errors import DomainError, IntegrityError, ResourceError
+from .perms import cycle_types
 from .report import (DeviationReport, deviation_report, rect_fractions,
                      rect_grid)
 
 _MAX_Q = 13
 _TABLE_GUARD = 10 ** 8
 _ENUM_GUARD = 10 ** 7
+_CELL_GUARD = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def build_irreducibles(q: int, max_deg: int) -> IrreducibleTable:
     _check_q(q)
     if max_deg < 1 or q ** max_deg > _TABLE_GUARD:
         raise ResourceError("q^max_deg exceeds the table guard")
-    sif, _ = _factor_sieve(q, max_deg)
+    sif = _factor_sieve(q, max_deg)
     by_degree = []
     for d in range(1, max_deg + 1):
         lo, hi = q ** d, 2 * q ** d
@@ -232,17 +234,11 @@ def build_irreducibles(q: int, max_deg: int) -> IrreducibleTable:
     return IrreducibleTable(q, max_deg, tuple(by_degree)).validate()
 
 
-@lru_cache(maxsize=8)
-def _factor_sieve(q: int, max_deg: int):
-    """(sif, quot) over all monic codes of degree <= max_deg.
-
-    sif[c] is the code of the smallest irreducible factor of c in
-    (degree, code) order, 0 if c is irreducible or trivial; quot[c] the
-    code of c / sif[c].  Factorization is then a pointer chase.
-    """
-    size = 2 * q ** max_deg
-    sif = np.zeros(size, dtype=np.int64)
-    quot = np.zeros(size, dtype=np.int64)
+def _factor_sieve(q: int, max_deg: int) -> np.ndarray:
+    """sif over all monic codes of degree <= max_deg: the code of the
+    smallest irreducible factor of c in (degree, code) order, 0 if c is
+    irreducible or trivial."""
+    sif = np.zeros(2 * q ** max_deg, dtype=np.int64)
     for dp in range(1, max_deg // 2 + 1):
         prim = [c for c in range(q ** dp, 2 * q ** dp) if sif[c] == 0]
         for pc in prim:
@@ -262,11 +258,8 @@ def _factor_sieve(q: int, max_deg: int):
                         (_code_mul(q, pc, int(gc))
                          for gc in range(q ** dg, 2 * q ** dg)),
                         dtype=np.int64)
-                    g = np.arange(q ** dg, 2 * q ** dg, dtype=np.int64)
-                fresh = sif[prod] == 0
-                sif[prod[fresh]] = pc
-                quot[prod[fresh]] = g[fresh]
-    return sif, quot
+                sif[prod[sif[prod] == 0]] = pc
+    return sif
 
 
 def factor_poly(f: PolyQ, table: IrreducibleTable) -> FactoredPoly:
@@ -315,58 +308,21 @@ def tau_k_poly(fp: FactoredPoly, k: int) -> int:
 
 # ------------------------------------------------------ mean statistics
 
-def _degree_profiles(q: int, n: int, table: IrreducibleTable):
-    """Factor every monic code of degree n into a degree profile.
+def _spread(tensor: np.ndarray, d: int, e: int, n: int, k: int)\
+        -> np.ndarray:
+    """The divisor-degree tensor after one more factor P^e, deg P = d.
 
-    Returns a dict mapping sorted tuples ((deg, exp), ...) to the number
-    of monic polynomials of degree n with that multiset of irreducible
-    factor degrees; only degrees matter for divisor-degree statistics.
+    Each composition of e into k parts hands d * comp[i] degrees to the
+    i-th divisor, shifting axis i < k - 1; the k-th divisor takes the
+    rest.
     """
-    sif, quot = _factor_sieve(q, max(n, 1))
-    profiles: dict[tuple[tuple[int, int], ...], int] = {}
-    for c in range(q ** n, 2 * q ** n):
-        counts: dict[int, int] = {}
-        cur = c
-        while cur > 1 and sif[cur]:
-            pc = int(sif[cur])
-            counts[pc] = counts.get(pc, 0) + 1
-            cur = int(quot[cur])
-        if cur > 1:
-            counts[cur] = counts.get(cur, 0) + 1
-        key = tuple(sorted((_deg_of_code(q, pc), e)
-                           for pc, e in counts.items()))
-        profiles[key] = profiles.get(key, 0) + 1
-    return profiles
-
-
-def _deg_of_code(q: int, code: int) -> int:
-    d = -1
-    while code:
-        code //= q
-        d += 1
-    return d
-
-
-def _divisor_degree_tensor(profile, n: int, k: int) -> np.ndarray:
-    """Counts of ordered (k-1)-part divisor tuples by degree vector.
-
-    Entry [j1, ..., j_(k-1)] counts tuples (D_1, .., D_(k-1)) of monic
-    divisors with disjoint content drawn from one polynomial of the
-    profile, deg D_i = j_i; the k-th part takes the rest.
-    """
-    shape = (n + 1,) * (k - 1)
-    out = np.zeros(shape, dtype=np.int64)
-    out[(0,) * (k - 1)] = 1
-    for d, e in profile:
-        nxt = np.zeros(shape, dtype=np.int64)
-        for comp in compositions(e, k):
-            if any(comp[i] * d > n for i in range(k - 1)):
-                continue
-            idx = tuple(slice(0, n + 1 - comp[i] * d)
-                        for i in range(k - 1))
-            dst = tuple(slice(comp[i] * d, n + 1) for i in range(k - 1))
-            nxt[dst] += out[idx]
-        out = nxt
+    out = np.zeros_like(tensor)
+    for comp in compositions(e, k):
+        if any(comp[i] * d > n for i in range(k - 1)):
+            continue
+        idx = tuple(slice(0, n + 1 - comp[i] * d) for i in range(k - 1))
+        dst = tuple(slice(comp[i] * d, n + 1) for i in range(k - 1))
+        out[dst] += tensor[idx]
     return out
 
 
@@ -393,26 +349,57 @@ def check_enumeration(q: int, n: int, k: int):
     _check_q(q)
     if n < 1 or k < 2:
         raise DomainError("need n >= 1 and k >= 2")
-    if q ** n > _ENUM_GUARD:
+    # both bases are >= 2 and 2^24 > 1e7, so capping the exponents at 24
+    # keeps each verdict but not the cost of a huge power
+    if q ** min(n, 24) > _ENUM_GUARD:
         raise ResourceError("q^n exceeds the enumeration guard")
+    if (n + 1) ** min(k - 1, 24) > _CELL_GUARD:
+        raise ResourceError("(n + 1)^(k - 1) tensor cells exceed the 1e7 "
+                            "guard")
 
 
 def _profile_tensors(q: int, n: int, k: int, table: IrreducibleTable):
-    """tau -> summed divisor-degree tensor over all monic F of degree n."""
+    """tau -> summed divisor-degree tensor over all monic F of degree n.
+
+    Entry [j_1, ..., j_(k-1)] counts pairs of F and an ordered tuple of
+    monic divisors (D_1, ..., D_k) with product F and deg D_i = j_i.
+    Only the (degree, exponent) pairs of F matter, so no polynomial is
+    enumerated: a recursion over d = 1..n takes the exponents of the
+    distinct degree-d factors as a partition of m, placed on the I_q(d)
+    irreducibles in perm(I_q(d), s) / prod(mult!) ways.
+    """
     check_enumeration(q, n, k)
     if table.q != q or table.max_deg < max(n // 2, 1):
         raise DomainError("table must cover the field up to degree n/2")
-    profiles = _degree_profiles(q, n, table)
+    types = [list(cycle_types(m)) for m in range(n + 1)]
+    irr = [0] + [irreducible_count(q, d) for d in range(1, n + 1)]
     out: dict[int, np.ndarray] = {}
-    for profile, count in profiles.items():
-        tau = 1
-        for _, e in profile:
-            tau *= math.comb(e + k - 1, k - 1)
-        tensor = _divisor_degree_tensor(profile, n, k) * count
-        if tau in out:
-            out[tau] += tensor
-        else:
-            out[tau] = tensor
+
+    def rec(d: int, rest: int, count: int, tau: int, tensor: np.ndarray):
+        if rest == 0:
+            if tau in out:
+                out[tau] += count * tensor
+            else:
+                out[tau] = count * tensor
+            return
+        if d > rest:
+            return
+        for m in range(rest // d + 1):
+            for ct in types[m]:
+                ways = math.perm(irr[d], ct.cycle_count)
+                if not ways:
+                    continue
+                t, grown = tau, tensor
+                for e, mult in ct.partition:
+                    ways //= math.factorial(mult)
+                    t *= math.comb(e + k - 1, k - 1) ** mult
+                    for _ in range(mult):
+                        grown = _spread(grown, d, e, n, k)
+                rec(d + 1, rest - m * d, count * ways, t, grown)
+
+    start = np.zeros((n + 1,) * (k - 1), dtype=np.int64)
+    start[(0,) * (k - 1)] = 1
+    rec(1, n, 1, 1, start)
     return out
 
 
@@ -420,7 +407,7 @@ def deviation_poly(q: int, n: int, k: int, grid_step,
                    table: IrreducibleTable) -> DeviationReport:
     """Grid sup of |exact mean - Dir(1/k, ..., 1/k) CDF|.
 
-    One enumeration serves every grid point; the rate normalization is
+    One set of tensors serves every grid point; the rate normalization is
     n^(1/k), matching the expected decay of the deviation.
     """
     step = Fraction(grid_step)

@@ -24,6 +24,7 @@ from .errors import IntegrityError
 # every exponent this package uses (alpha >= ~0.02); underflowed nodes are
 # trimmed rather than evaluated.
 _T_MAX = 6.5
+_MAX_LEVEL = 10     # finest step h = 2**-_MAX_LEVEL
 
 
 @lru_cache(maxsize=32)
@@ -51,8 +52,7 @@ def nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xi[keep], omx[keep], w[keep]
 
 
-def integrate(f, a: float, b: float, tol: float = 1e-10,
-              max_level: int = 10) -> float:
+def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive tanh-sinh integral of a vectorized callable over [a, b].
 
     ``f`` receives an ndarray of abscissae.  The level is doubled until
@@ -63,11 +63,12 @@ def integrate(f, a: float, b: float, tol: float = 1e-10,
         return 0.0
     width = b - a
     prev = None
-    for level in range(3, max_level + 1):
+    for level in range(3, _MAX_LEVEL + 1):
         xi, _, w = nodes(level)
         val = width * float(np.dot(w, f(a + width * xi)))
         if prev is not None and abs(val - prev) <= max(tol, 1e-15 * abs(val)):
             return val
         prev = val
     raise IntegrityError(
-        f"tanh-sinh integral did not converge to {tol:g} by level {max_level}")
+        f"tanh-sinh integral did not converge to {tol:g} by level "
+        f"{_MAX_LEVEL}")

@@ -56,6 +56,8 @@ def rect_grid(k: int, step: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     step = Fraction(step)
     if not 0 < step <= Fraction(1, 2):
         raise DomainError("grid step must lie in (0, 1/2]")
+    if (k - 1) * step > 1:
+        raise DomainError("grid step leaves no corner: (k - 1) step > 1")
     out = []
 
     def rec(prefix: tuple, left: Fraction):

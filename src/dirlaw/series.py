@@ -33,6 +33,8 @@ _DIRECT_N_MAX = 100_000
 _DIRECT_COST_GUARD = 4 * 10 ** 8    # total elementwise work in the sum
 _SIGMA_MIN_DIRECT = 1.5
 _EULER_COST_GUARD = 2 * 10 ** 9     # elementwise work of the local factors
+_LOG_FLOAT_MAX = 709.0              # below log(max float) = 709.78...
+_A0_MAX_K = 100                     # recursion depth of _comp_count
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,11 @@ def d_euler(s, k: int, prime_max: int, v_max: int)\
     if work + k * v_max + 1 > _EULER_COST_GUARD:
         raise ResourceError("pi(p_max) k (v_max + 1)^2 exceeds the "
                             "Euler-product cost guard")
+    top = k * v_max + k - 1             # the largest weight is C(top, k - 1)
+    if math.lgamma(top + 1) - math.lgamma(k) - math.lgamma(top - k + 2) \
+            > _LOG_FLOAT_MAX:
+        raise ResourceError("C(k v_max + k - 1, k - 1) exceeds the float "
+                            "range")
 
     value = complex(1.0)
     real_point = all(c.imag == 0.0 for c in pt.s)
@@ -304,6 +311,9 @@ def a0_local_check(p: int, k: int, v_max: int) -> Fraction:
         raise DomainError("p must be prime")
     if k < 1 or v_max < 1:
         raise DomainError("need k >= 1 and V >= 1")
+    if k > _A0_MAX_K:
+        raise ResourceError(f"k must be at most {_A0_MAX_K} for the "
+                            "composition recursion")
     acc = Fraction(0)
     for v in range(v_max + 1):
         count = _comp_count(v, k)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirlaw import cli
 from dirlaw.cli import main
@@ -106,6 +110,16 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, "polys", *argv)
         assert code == 2 and message in err
     assert not list(tmp_path.glob("irr_*.bin"))
+    # a grid with no corner, (k - 1) step > 1, is refused before sieving
+    for argv in [("integers", "run", "--x", "100", "--k", "5", "--grid",
+                  "1/2"),
+                 ("integers", "converge", "--x", "100,200", "--k", "4",
+                  "--grid", "1/2"),
+                 ("perms", "converge", "--n", "10", "--k", "4", "--grid",
+                  "1/2")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "grid step leaves no corner" in err and not out
+    assert not list(tmp_path.glob("spf_*.bin"))
 
 
 @pytest.mark.parametrize("spelling", ["residues:abc", "coprime:1-x",
@@ -131,18 +145,79 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "spf_20000.bin").exists()
     # so does the enumeration guard before an irreducible table
     for argv in [("exact", "--q", "3", "--n", "20", "--k", "2", "--u", "1/2"),
+                 ("exact", "--q", "3", "--n", "30000000", "--k", "2", "--u",
+                  "1/2"),     # refused without computing 3^(3e7)
                  ("converge", "--q", "2", "--n", "24,26", "--k", "2")]:
         code, _, err = run(capsys, "polys", *argv)
         assert code == 3 and "q^n exceeds the enumeration guard" in err
+    # and the tensor-cell guard on k
+    for argv in [("exact", "--q", "2", "--n", "12", "--k", "30", "--u",
+                  ",".join(["1/40"] * 29)),
+                 ("run", "--q", "2", "--n", "4", "--k", "12", "--grid",
+                  "1/10")]:
+        code, _, err = run(capsys, "polys", *argv)
+        assert code == 3 and "tensor cells exceed the 1e7 guard" in err
     assert not list(tmp_path.glob("irr_*.bin"))
     # guards that refuse work before it starts, without a traceback
     for argv, message in [
             (("series", "euler", "--s", "2,2", "--pmax", "100", "--vmax",
               "100000"), "exceeds the Euler-product cost guard"),
             (("dirichlet", "sample", "--alpha", "1,1", "--samples",
-              "1000000000"), "samples * k exceeds the 1e7 guard")]:
+              "1000000000"), "samples * k exceeds the 1e7 guard"),
+            (("series", "euler", "--s", ",".join(["2"] * 200), "--pmax",
+              "10", "--vmax", "30"), "exceeds the float range"),
+            (("series", "a0", "--p", "2", "--k", "900", "--vmax", "30"),
+             "k must be at most 100")]:
         code, out, err = run(capsys, *argv)
         assert code == 3 and message in err and not out
+
+
+_GRIDS = st.sampled_from(["1/2", "1/3", "1/4", "1/5"])
+_SCALES = st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True)
+# polys k: small tensors, or k - 1 >= 25 so that (n + 1)^(k - 1) > 1e7
+_POLY_K = st.one_of(st.integers(1, 5), st.integers(26, 40))
+
+
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+ARGVS = st.one_of(
+    st.builds(lambda x, k, g: ("integers", "run", "--x", str(x), "--k",
+                               str(k), "--grid", g),
+              st.integers(1, 300), st.integers(1, 6), _GRIDS),
+    st.builds(lambda xs, k, g: ("integers", "converge", "--x",
+                                _csv(sorted(xs)), "--k", str(k), "--grid", g),
+              _SCALES, st.integers(1, 6), _GRIDS),
+    st.builds(lambda ns, k, g: ("perms", "converge", "--n", _csv(ns), "--k",
+                                str(k), "--grid", g),
+              st.lists(st.integers(0, 60), min_size=1, max_size=3),
+              st.integers(1, 7), _GRIDS),
+    st.builds(lambda q, n, k: ("polys", "exact", "--q", str(q), "--n",
+                               str(n), "--k", str(k), "--u",
+                               _csv([f"1/{k}"] * max(k - 1, 1))),
+              st.sampled_from([2, 3, 4, 5, 17]), st.integers(0, 6), _POLY_K),
+    st.builds(lambda q, n, k, g: ("polys", "run", "--q", str(q), "--n",
+                                  str(n), "--k", str(k), "--grid", g),
+              st.sampled_from([2, 3, 5]), st.integers(0, 6), _POLY_K,
+              _GRIDS),
+    st.builds(lambda m, pmax: ("series", "euler", "--s", _csv([2] * m),
+                               "--pmax", str(pmax), "--vmax", "30"),
+              st.integers(1, 250), st.integers(1, 20)),
+    st.builds(lambda p, k, v: ("series", "a0", "--p", str(p), "--k", str(k),
+                               "--vmax", str(v)),
+              st.sampled_from([2, 3, 4]), st.integers(0, 1000),
+              st.integers(0, 5)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(argv=ARGVS)
+def test_argv_families_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_integrity_error_exit_code(capsys, tmp_path, monkeypatch):

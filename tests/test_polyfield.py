@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dirlaw import polyfield
 from dirlaw.errors import DomainError, IntegrityError
 from dirlaw.polyfield import (IrreducibleTable, PolyQ, build_irreducibles,
                               deviation_poly, exact_lhs_poly, factor_poly,
@@ -147,15 +148,28 @@ def test_hand_oracle_q2_n2():
     assert got == Fraction(31, 48)
 
 
-@pytest.mark.parametrize("q,k", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("q,k", [(2, 2), (2, 3), (3, 2), (5, 2), (5, 3),
+                                 (2, 4), (3, 4)])
 def test_exact_lhs_poly_matches_brute(q, k, irr2, irr3):
-    table = irr2 if q == 2 else irr3
-    for n in range(1, 6):
+    table = {2: irr2, 3: irr3}.get(q) or build_irreducibles(q, 2)
+    for n in range(1, 6 if q < 5 else 4):
         for u in [(Fraction(1, 3),) * (k - 1), (Fraction(1, 2),) * (k - 1),
                   (Fraction(1),) * (k - 1)]:
             got = exact_lhs_poly(q, n, k, u, table)
             want = brute_poly_lhs(q, n, k, u, table)
             assert got == want, (q, n, k, u)
+
+
+def test_engine_enumerates_no_polynomial(irr2, monkeypatch):
+    # the mean statistic comes from irreducible counts, not a sieve walk
+    def refuse(*args):
+        raise AssertionError("the polys engine enumerated polynomials")
+
+    monkeypatch.setattr(polyfield, "_factor_sieve", refuse)
+    assert exact_lhs_poly(2, 2, 2, (Fraction(1, 2),), irr2) \
+        == Fraction(31, 48)
+    rep = deviation_poly(2, 16, 3, Fraction(1, 4), irr2)
+    assert rep.scale == 16 and len(rep.points) == 6
 
 
 def test_full_box_is_one(irr2):

@@ -98,6 +98,11 @@ def test_series_guards(sieve_small):
     for pmax, vmax in ((100, 100_000), (1, 10 ** 9)):
         with pytest.raises(ResourceError):  # Euler-product cost guard
             d_euler((2.0, 2.0), 2, pmax, vmax)
+    with pytest.raises(ResourceError):  # C(k v_max + k - 1, k - 1) > 1e308
+        d_euler((2.0,) * 200, 200, 10, 30)
+    with pytest.raises(ResourceError):  # deeper than the recursion guard
+        a0_local_check(2, 900, 30)
+    assert a0_local_check(2, 100, 30) == 1 - Fraction(1, 2 ** 31)
     for point in ((math.nan, 2.0), (2.0, math.inf)):
         with pytest.raises(DomainError):
             d_direct(point, 2, 10, sieve_small)
