@@ -83,6 +83,17 @@ def primes_up_to(limit: int) -> list[int]:
     return [int(p) for p in np.flatnonzero(is_p)]
 
 
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n, by trial division; 0 (the sieve's
+    sentinel) for n < 2."""
+    if n < 2:
+        return 0
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            return p
+    return n
+
+
 def factorize(n: int, sieve: SpfSieve) -> FactoredInteger:
     """Factor n by walking the sieve; O(log n)."""
     if n < 1:

@@ -15,14 +15,13 @@ Formats (all little-endian):
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .arith import SpfSieve, build_spf_sieve
+from .arith import SpfSieve, build_spf_sieve, smallest_prime_factor
 from .errors import IntegrityError
 from .polyfield import IrreducibleTable, build_irreducibles
 
@@ -38,15 +37,6 @@ def cache_dir() -> Path | None:
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        return 0
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            return p
-    return n
 
 
 def save_spf(sieve: SpfSieve, path: Path):
@@ -66,7 +56,7 @@ def load_spf(path: Path) -> SpfSieve:
         raise IntegrityError(f"{path} is truncated")
     spf = np.empty(x + 1, dtype=np.uint32)
     spf[:x] = np.frombuffer(raw, dtype="<u4", offset=12, count=x)
-    spf[x] = _smallest_prime_factor(x)
+    spf[x] = smallest_prime_factor(x)
     if spf[0] != 0 or spf[1] != 0 or (x >= 2 and spf[2] != 2):
         raise IntegrityError(f"{path} failed the sentinel check")
     return SpfSieve(int(x), spf)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -92,15 +91,6 @@ def _fmt_value(v) -> str:
 
 def _model_for(args, k: int | None) -> WeightModel:
     return parse_model(getattr(args, "model", "uniform"), k)
-
-
-def _shards(args) -> int:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise DomainError("--threads must be positive")
-    return min(threads, 64)
 
 
 # ------------------------------------------------------------- manifests
@@ -245,11 +235,9 @@ def _cmd_integers_run(args) -> int:
     bins = grid_bins(args.grid)        # domain, before sieving
     rect_grid(model.k, args.grid)
     sieve = get_spf_sieve(args.x)
-    report = sup_deviation(args.x, model.k, model, args.grid, sieve,
-                           shards=_shards(args))
+    report = sup_deviation(args.x, model.k, model, args.grid, sieve)
     params = {"x": args.x, "k": model.k, "model": args.model,
-              "grid": str(Fraction(args.grid)), "threads": _shards(args),
-              "format": args.format}
+              "grid": str(Fraction(args.grid)), "format": args.format}
     _emit_reports([report], args, "integers", params, bins=bins)
     return 0
 
@@ -270,11 +258,10 @@ def _cmd_integers_converge(args) -> int:
     grid_bins(args.grid)               # domain, before sieving
     rect_grid(model.k, args.grid)
     sieve = get_spf_sieve(max(xs))
-    reports = convergence_study(xs, model.k, model, args.grid, sieve,
-                                shards=_shards(args))
+    reports = convergence_study(xs, model.k, model, args.grid, sieve)
     params = {"x": list(xs), "k": model.k, "model": args.model,
-              "grid": str(Fraction(args.grid)), "threads": _shards(args),
-              "format": args.format, "engine": "integers"}
+              "grid": str(Fraction(args.grid)), "format": args.format,
+              "engine": "integers"}
     _emit_reports(reports, args, "converge", params, bins=None)
     return 0
 
@@ -437,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--model", default="uniform")
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 20))
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, help="deprecated; no effect")
     _add_out_flags(p)
     p.set_defaults(func=_cmd_integers_run)
     p = di.add_parser("mc", help="Monte Carlo estimate of L(x, u)")
@@ -453,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--model", default="uniform")
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 20))
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, help="deprecated; no effect")
     _add_out_flags(p)
     p.set_defaults(func=_cmd_integers_converge)
     p = di.add_parser("boxsum",
@@ -547,6 +534,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
+    if getattr(args, "threads", None) is not None:
+        print("warning: --threads is deprecated and has no effect",
+              file=sys.stderr)
     try:
         return args.func(args)
     except (DomainError, UnsupportedError, SingularityError) as exc:

@@ -28,7 +28,6 @@ Exact mode keeps a per-n recursion over Fractions as the oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -414,8 +413,9 @@ def _check_engine_args(x: int, k: int, model: WeightModel, sieve: SpfSieve):
 
 
 def _chunk_ranges(x: int):
-    """Fixed n-range decomposition; the merge order never depends on the
-    worker count, so results are bitwise reproducible for any shards."""
+    """Fixed n-range decomposition.  Each chunk is reduced on its own and
+    merged in chunk order, so the bits never depend on how the chunks are
+    grouped into walker passes."""
     chunks = min(max(_MERGE_CHUNKS, -(-x // _CHUNK_N)), x)
     bounds = [1 + (x * i) // chunks for i in range(chunks + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(chunks)
@@ -447,7 +447,7 @@ def _passes(tables: _LocalTables, x: int,
 
 
 def accumulate_histogram(x: int, k: int, model: WeightModel, bins: int,
-                         shards: int, sieve: SpfSieve) -> HistogramGrid:
+                         sieve: SpfSieve) -> HistogramGrid:
     """Histogram of tuple positions (log d_i / log n) with model weights.
 
     Every tuple of every n <= x deposits f(n) * G / G_total(n) into the
@@ -457,13 +457,11 @@ def accumulate_histogram(x: int, k: int, model: WeightModel, bins: int,
     _check_engine_args(x, k, model, sieve)
     if not _BIN_RANGE[0] <= bins <= _BIN_RANGE[1]:
         raise DomainError(f"bins per dimension must lie in {_BIN_RANGE}")
-    return _accumulate(x, k, model, bins, shards, sieve)
+    return _accumulate(x, k, model, bins, sieve)
 
 
 def _accumulate(x: int, k: int, model: WeightModel, bins: int,
-                shards: int, sieve: SpfSieve) -> HistogramGrid:
-    if shards < 1 or shards > 64:
-        raise DomainError("shards must lie in [1, 64]")
+                sieve: SpfSieve) -> HistogramGrid:
     if bins ** (k - 1) > _CELL_GUARD:
         raise ResourceError("bin grid exceeds the cell-count guard")
     shape = (bins,) * (k - 1)
@@ -471,8 +469,9 @@ def _accumulate(x: int, k: int, model: WeightModel, bins: int,
         hist, norm = _accumulate_uniform_k2(x, bins, sieve)
     else:
         tables = _LocalTables(model, x, sieve)
-
-        def run_pass(chunks):
+        hist = np.zeros(shape)
+        norm = 0.0
+        for chunks in _passes(tables, x, bins ** (k - 1)):
             lv = tables.leaves(chunks[0][0], chunks[-1][1])
             cut = np.searchsorted(lv.n, [hi for _, hi in chunks[:-1]])
             ln_inv = np.divide(1.0, lv.log_n, out=np.zeros_like(lv.log_n),
@@ -485,17 +484,10 @@ def _accumulate(x: int, k: int, model: WeightModel, bins: int,
             weights = lv.g * (lv.f / lv.g_total)[lv.owner]
             part = np.bincount(cell, weights=weights,
                                minlength=len(chunks) * bins ** (k - 1))
-            norms = [math.fsum(f) for f in np.split(lv.f, cut)]
-            return zip(part.reshape((len(chunks),) + shape), norms)
-
-        passes = _passes(tables, x, bins ** (k - 1))
-        hist = np.zeros(shape)
-        norm = 0.0
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            for part in (pool.map if shards > 1 else map)(run_pass, passes):
-                for part_hist, part_norm in part:   # fixed chunk order
-                    hist += part_hist
-                    norm += part_norm
+            for part_hist, f in zip(part.reshape((len(chunks),) + shape),
+                                    np.split(lv.f, cut)):
+                hist += part_hist                   # fixed chunk order
+                norm += math.fsum(f)
     grid = HistogramGrid(k=k, bins_per_dim=bins, weights=hist,
                          normalizer=norm)
     return grid.finalize()
@@ -537,7 +529,7 @@ def _accumulate_uniform_k2(x: int, bins: int, sieve: SpfSieve):
 
 
 def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
-                  sieve: SpfSieve, shards: int = 1) -> DeviationReport:
+                  sieve: SpfSieve) -> DeviationReport:
     """Grid sup of |L(x, u) - F(u)| over the step grid.
 
     The empirical side is a single enumeration pass binned at exactly
@@ -546,7 +538,7 @@ def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
     """
     _check_engine_args(x, k, model, sieve)
     step = Fraction(grid_step)
-    grid = _accumulate(x, k, model, grid_bins(step), shards, sieve)
+    grid = _accumulate(x, k, model, grid_bins(step), sieve)
     points = rect_grid(k, step)
     corners = [tuple(float(c) for c in u) for u in points]
     rate = min([1.0] + [float(a) for a in model.alpha_exact])
@@ -569,13 +561,11 @@ def grid_bins(grid_step) -> int:
 
 
 def convergence_study(xs: Sequence[int], k: int, model: WeightModel,
-                      grid_step, sieve: SpfSieve,
-                      shards: int = 1) -> list[DeviationReport]:
+                      grid_step, sieve: SpfSieve) -> list[DeviationReport]:
     """Deviation reports along increasing x (limit values are cached)."""
     if list(xs) != sorted(set(xs)):
         raise DomainError("scales must be strictly increasing")
-    return [sup_deviation(x, k, model, grid_step, sieve, shards)
-            for x in xs]
+    return [sup_deviation(x, k, model, grid_step, sieve) for x in xs]
 
 
 def mc_lhs(x: int, k: int, model: WeightModel, rect, n_samples: int,

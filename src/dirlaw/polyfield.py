@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import compositions
+from .arith import compositions, smallest_prime_factor
 from .dirichlet import cdf
 from .errors import DomainError, IntegrityError, ResourceError
-from .perms import cycle_types
+from .perms import CycleType, cycle_types
 from .report import (DeviationReport, deviation_report, rect_fractions,
                      rect_grid)
 
@@ -29,6 +30,11 @@ _MAX_Q = 13
 _TABLE_GUARD = 10 ** 8
 _ENUM_GUARD = 10 ** 7
 _CELL_GUARD = 10 ** 7
+# tensor-cell operations of one _profile_tensors call (_tensor_work).  On
+# a 2-core x86 machine, q = 2: n = 16, k = 4 (2.1e8) takes 0.7 s, n = 2,
+# k = 14 (2.7e8) 0.5 s and n = 1, k = 24 (2.2e8) peaks at 184 MB RSS; the
+# refused n = 9, k = 7 (2.7e10) took 49 s and 325 MB.
+_WORK_GUARD = 3 * 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,7 @@ class PolyQ:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.q < 2 or not _is_prime(self.q):
+        if self.q < 2 or smallest_prime_factor(self.q) != self.q:
             raise DomainError("q must be a prime")
         if any(c < 0 or c >= self.q for c in self.coeffs):
             raise DomainError("coefficients must lie in [0, q)")
@@ -109,18 +115,9 @@ class IrreducibleTable:
         return self
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 def _check_q(q: int):
     """The field size every table and enumeration accepts."""
-    if not _is_prime(q):
+    if q < 2 or smallest_prime_factor(q) != q:
         raise DomainError("q must be a prime")
     if q > _MAX_Q:
         raise ResourceError(f"q must be at most {_MAX_Q}")
@@ -308,6 +305,20 @@ def tau_k_poly(fp: FactoredPoly, k: int) -> int:
 
 # ------------------------------------------------------ mean statistics
 
+@lru_cache(maxsize=64)
+def _cycle_types(m: int) -> tuple[CycleType, ...]:
+    """The partitions of m, built once for every count and tensor."""
+    return tuple(cycle_types(m))
+
+
+@lru_cache(maxsize=4096)
+def _shifts(d: int, e: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The compositions of e into k parts whose first k - 1 divisor
+    degrees d * comp[i] stay within n."""
+    return tuple(comp for comp in compositions(e, k)
+                 if all(comp[i] * d <= n for i in range(k - 1)))
+
+
 def _spread(tensor: np.ndarray, d: int, e: int, n: int, k: int)\
         -> np.ndarray:
     """The divisor-degree tensor after one more factor P^e, deg P = d.
@@ -317,9 +328,7 @@ def _spread(tensor: np.ndarray, d: int, e: int, n: int, k: int)\
     rest.
     """
     out = np.zeros_like(tensor)
-    for comp in compositions(e, k):
-        if any(comp[i] * d > n for i in range(k - 1)):
-            continue
+    for comp in _shifts(d, e, n, k):
         idx = tuple(slice(0, n + 1 - comp[i] * d) for i in range(k - 1))
         dst = tuple(slice(comp[i] * d, n + 1) for i in range(k - 1))
         out[dst] += tensor[idx]
@@ -356,6 +365,34 @@ def check_enumeration(q: int, n: int, k: int):
     if (n + 1) ** min(k - 1, 24) > _CELL_GUARD:
         raise ResourceError("(n + 1)^(k - 1) tensor cells exceed the 1e7 "
                             "guard")
+    if _tensor_work(q, n, k) > _WORK_GUARD:
+        raise ResourceError("tensor-cell operations exceed the 3e8 work "
+                            "guard")
+
+
+def _tensor_work(q: int, n: int, k: int) -> int:
+    """Tensor-cell operations of ``_profile_tensors``, counted without a
+    tensor: each factor P^e makes a new tensor and one shifted add per
+    kept composition, each leaf one scaled add.  A subtree's count
+    depends on (d, rest) alone, so each is counted once."""
+    irr = [0] + [irreducible_count(q, d) for d in range(1, n + 1)]
+
+    @lru_cache(maxsize=None)
+    def rec(d: int, rest: int) -> int:
+        if rest == 0:
+            return 1
+        if d > rest:
+            return 0
+        total = 0
+        for m in range(rest // d + 1):
+            for ct in _cycle_types(m):
+                if math.perm(irr[d], ct.cycle_count):
+                    total += rec(d + 1, rest - m * d) + sum(
+                        mult * (1 + len(_shifts(d, e, n, k)))
+                        for e, mult in ct.partition)
+        return total
+
+    return rec(1, n) * (n + 1) ** (k - 1)
 
 
 def _profile_tensors(q: int, n: int, k: int, table: IrreducibleTable):
@@ -371,7 +408,6 @@ def _profile_tensors(q: int, n: int, k: int, table: IrreducibleTable):
     check_enumeration(q, n, k)
     if table.q != q or table.max_deg < max(n // 2, 1):
         raise DomainError("table must cover the field up to degree n/2")
-    types = [list(cycle_types(m)) for m in range(n + 1)]
     irr = [0] + [irreducible_count(q, d) for d in range(1, n + 1)]
     out: dict[int, np.ndarray] = {}
 
@@ -385,7 +421,7 @@ def _profile_tensors(q: int, n: int, k: int, table: IrreducibleTable):
         if d > rest:
             return
         for m in range(rest // d + 1):
-            for ct in types[m]:
+            for ct in _cycle_types(m):
                 ways = math.perm(irr[d], ct.cycle_count)
                 if not ways:
                     continue

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import zeta as _zeta
 
 from .arith import (FactoredInteger, SpfSieve, WeightModel, factorize,
-                    local_g_sum, primes_up_to)
+                    local_g_sum, primes_up_to, smallest_prime_factor)
 from .errors import DomainError, IntegrityError, ResourceError
 
 _DIRECT_N_MAX = 100_000
@@ -35,6 +35,12 @@ _SIGMA_MIN_DIRECT = 1.5
 _EULER_COST_GUARD = 2 * 10 ** 9     # elementwise work of the local factors
 _LOG_FLOAT_MAX = 709.0              # below log(max float) = 709.78...
 _A0_MAX_K = 100                     # recursion depth of _comp_count
+# k (V + 1)^2 bounds the terms _comp_count sums for one check; 2.5e6 takes
+# about 0.5 s (k = 100, V = 157) on a 2-core x86 machine.  One check
+# memoises at most k (V + 1) <= sqrt(guard * k) pairs (v, k), and the memo
+# holds them all, since a memo that evicts recomputes without bound.
+_A0_COST_GUARD = 2_500_000
+_A0_MEMO = math.isqrt(_A0_COST_GUARD * _A0_MAX_K)
 
 
 @dataclass(frozen=True)
@@ -291,7 +297,7 @@ def _prime_count_bound(x: int) -> float:
     return 1.25506 * x / math.log(x) if x > 1 else 1.0
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_A0_MEMO)
 def _comp_count(v: int, k: int) -> int:
     """Weak compositions of v into k parts, by the defining recursion."""
     if k == 1:
@@ -307,13 +313,16 @@ def a0_local_check(p: int, k: int, v_max: int) -> Fraction:
     recomputes the count by recursion, then the factor collapses to the
     geometric value (1 - 1/p) * sum_{v <= V} p^-v = 1 - p^-(V+1).
     """
-    if p < 2 or not all(p % d for d in range(2, math.isqrt(p) + 1)):
+    if p < 2 or smallest_prime_factor(p) != p:
         raise DomainError("p must be prime")
     if k < 1 or v_max < 1:
         raise DomainError("need k >= 1 and V >= 1")
     if k > _A0_MAX_K:
         raise ResourceError(f"k must be at most {_A0_MAX_K} for the "
                             "composition recursion")
+    if k * (v_max + 1) ** 2 > _A0_COST_GUARD:
+        raise ResourceError("k (V + 1)^2 exceeds the 2.5e6 composition "
+                            "recursion guard")
     acc = Fraction(0)
     for v in range(v_max + 1):
         count = _comp_count(v, k)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dirlaw import integers
 from dirlaw.arith import (build_spf_sieve, factorize, model_uniform,
                           parse_model, tau_k)
 from dirlaw.cli import main as cli_main
@@ -126,7 +127,7 @@ def test_criterion_06_euler_product_identity(sieve_small):
 def test_criterion_07_integer_convergence(sieve_1e6):
     model = model_uniform(2)
     reps = convergence_study([10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6], 2, model,
-                             Fraction(1, 20), sieve_1e6, shards=8)
+                             Fraction(1, 20), sieve_1e6)
     sups = [r.sup_dev for r in reps]
     scaled = [r.scaled_sup_dev for r in reps]
     decreasing = all(a > b for a, b in zip(sups, sups[1:]))
@@ -170,10 +171,8 @@ def test_criterion_09_model_suite(sieve_small):
     lines = []
     for spelling, k, step in SUITE:
         model = parse_model(spelling, k)
-        small = sup_deviation(10 ** 3, model.k, model, step, sieve_small,
-                              shards=8)
-        big = sup_deviation(10 ** 5, model.k, model, step, sieve_small,
-                            shards=8)
+        small = sup_deviation(10 ** 3, model.k, model, step, sieve_small)
+        big = sup_deviation(10 ** 5, model.k, model, step, sieve_small)
         assert big.sup_dev <= 0.15, (spelling, big.sup_dev)
         assert big.sup_dev < small.sup_dev, (spelling, small.sup_dev,
                                              big.sup_dev)
@@ -207,15 +206,16 @@ def test_criterion_10_weighted_box_sum(sieve_small):
           f"({engine_S!r})")
 
 
-def test_criterion_11_determinism(sieve_small, tmp_path, capsys):
+def test_criterion_11_determinism(sieve_small, tmp_path, capsys,
+                                  monkeypatch):
     model = parse_model("squarefree", 2)
-    base = accumulate_histogram(50_000, 2, model, 20, shards=1,
-                                sieve=sieve_small)
-    for shards in (2, 8):
-        other = accumulate_histogram(50_000, 2, model, 20, shards=shards,
-                                     sieve=sieve_small)
+    base = accumulate_histogram(50_000, 2, model, 20, sieve=sieve_small)
+    for pass_tuples in (1, 1 << 40):    # one chunk per pass; one pass
+        monkeypatch.setattr(integers, "_PASS_TUPLES", pass_tuples)
+        other = accumulate_histogram(50_000, 2, model, 20, sieve=sieve_small)
         assert base.weights.tobytes() == other.weights.tobytes()
         assert base.cum.tobytes() == other.cum.tobytes()
+    monkeypatch.undo()
 
     outs = []
     for i, threads in enumerate((2, 8)):
@@ -230,5 +230,5 @@ def test_criterion_11_determinism(sieve_small, tmp_path, capsys):
         outs.append(out.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
-    print("\nPASS criterion 11: histograms byte-identical at shards "
-          "{1, 2, 8}; CLI reruns byte-identical across thread counts")
+    print("\nPASS criterion 11: histograms byte-identical across pass "
+          "groupings; CLI reruns byte-identical across thread counts")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,14 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
                   "1/10")]:
         code, _, err = run(capsys, "polys", *argv)
         assert code == 3 and "tensor cells exceed the 1e7 guard" in err
+    # and the tensor work guard, from a count that builds no tensor
+    for n, k in [(9, 7), (4, 11)]:
+        start = time.perf_counter()
+        code, _, err = run(capsys, "polys", "exact", "--q", "2", "--n",
+                           str(n), "--k", str(k), "--u",
+                           ",".join([f"1/{k}"] * (k - 1)))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "exceed the 3e8 work guard" in err
     assert not list(tmp_path.glob("irr_*.bin"))
     # guards that refuse work before it starts, without a traceback
     for argv, message in [
@@ -167,7 +176,11 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
             (("series", "euler", "--s", ",".join(["2"] * 200), "--pmax",
               "10", "--vmax", "30"), "exceeds the float range"),
             (("series", "a0", "--p", "2", "--k", "900", "--vmax", "30"),
-             "k must be at most 100")]:
+             "k must be at most 100"),
+            (("series", "a0", "--p", "2", "--k", "100", "--vmax", "300"),
+             "exceeds the 2.5e6 composition recursion guard"),
+            (("series", "a0", "--p", "2", "--k", "2", "--vmax", "20000"),
+             "exceeds the 2.5e6 composition recursion guard")]:
         code, out, err = run(capsys, *argv)
         assert code == 3 and message in err and not out
 
@@ -207,7 +220,22 @@ ARGVS = st.one_of(
     st.builds(lambda p, k, v: ("series", "a0", "--p", str(p), "--k", str(k),
                                "--vmax", str(v)),
               st.sampled_from([2, 3, 4]), st.integers(0, 1000),
-              st.integers(0, 5)))
+              st.integers(0, 5)),
+    # the deprecated flag, the a0 cost guard and the polys work guard
+    st.builds(lambda verb, x, k, t: ("integers", verb, "--x", str(x), "--k",
+                                     str(k), "--grid", "1/4", "--threads",
+                                     str(t)),
+              st.sampled_from(["run", "converge"]), st.integers(1, 300),
+              st.integers(1, 4), st.integers(-2, 64)),
+    st.builds(lambda p, k, v: ("series", "a0", "--p", str(p), "--k", str(k),
+                               "--vmax", str(v)),
+              st.sampled_from([2, 3, 97]), st.integers(1, 120),
+              st.integers(0, 30000)),
+    st.builds(lambda q, n, k: ("polys", "exact", "--q", str(q), "--n",
+                               str(n), "--k", str(k), "--u",
+                               _csv([f"1/{k}"] * (k - 1))),
+              st.sampled_from([2, 3]), st.integers(8, 11),
+              st.integers(6, 10)))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -218,6 +246,25 @@ def test_argv_families_keep_the_exit_code_contract(argv):
         code = main(list(argv))
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("verb,x", [("run", "20000"),
+                                    ("converge", "1000,20000")])
+def test_threads_flag_is_deprecated_and_ignored(verb, x, capsys, tmp_path):
+    argv = ["integers", verb, "--x", x, "--k", "2", "--model",
+            "two-squares", "--grid", "1/20"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "plain.csv"))
+    assert code == 0 and "deprecated" not in err
+    plain = (tmp_path / "plain.csv").read_bytes()
+    for threads in ("1", "2", "8"):
+        out = tmp_path / f"threads{threads}.csv"
+        code, _, err = run(capsys, *argv, "--threads", threads, "--out",
+                           str(out))
+        assert code == 0
+        notes = [line for line in err.splitlines()
+                 if "--threads is deprecated and has no effect" in line]
+        assert len(notes) == 1, err
+        assert out.read_bytes() == plain
 
 
 def test_integrity_error_exit_code(capsys, tmp_path, monkeypatch):

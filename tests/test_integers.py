@@ -114,8 +114,7 @@ def test_full_box_and_n1_edge(sieve_small):
 def test_histogram_matches_exact_at_grid_corners(sieve_small):
     model = parse_model("squarefree", 2)
     x, bins = 2000, 10
-    grid = accumulate_histogram(x, 2, model, bins, shards=1,
-                                sieve=sieve_small)
+    grid = accumulate_histogram(x, 2, model, bins, sieve=sieve_small)
     for m in range(1, bins + 1):
         u = Fraction(m, bins)
         emp = empirical_cdf(grid, (float(u),))
@@ -161,29 +160,12 @@ def test_walker_float_lhs_matches_exact_at_rational_corners(case, x, data,
 
 
 @pytest.mark.parametrize("spelling", ["nested", "tau-weights:1;1,2,3"])
-def test_walker_bits_ignore_shards_and_passes(spelling, sieve_small,
-                                              monkeypatch):
+def test_walker_bits_ignore_passes(spelling, sieve_small, monkeypatch):
     model = parse_model(spelling, 3)
-    base = accumulate_histogram(10_000, 3, model, 20, shards=1,
-                                sieve=sieve_small)
-    runs = [(shards, None) for shards in (2, 8)]
-    runs += [(1, 1), (2, 1 << 40)]     # one chunk per pass; one pass
-    for shards, pass_tuples in runs:
-        if pass_tuples is not None:
-            monkeypatch.setattr(integers, "_PASS_TUPLES", pass_tuples)
-        other = accumulate_histogram(10_000, 3, model, 20, shards=shards,
-                                     sieve=sieve_small)
-        assert base.weights.tobytes() == other.weights.tobytes()
-        assert base.cum.tobytes() == other.cum.tobytes()
-
-
-def test_histogram_shards_are_byte_identical(sieve_small):
-    model = parse_model("two-squares", 2)
-    base = accumulate_histogram(20_000, 2, model, 40, shards=1,
-                                sieve=sieve_small)
-    for shards in (2, 8):
-        other = accumulate_histogram(20_000, 2, model, 40, shards=shards,
-                                     sieve=sieve_small)
+    base = accumulate_histogram(10_000, 3, model, 20, sieve=sieve_small)
+    for pass_tuples in (1, 1 << 40):    # one chunk per pass; one pass
+        monkeypatch.setattr(integers, "_PASS_TUPLES", pass_tuples)
+        other = accumulate_histogram(10_000, 3, model, 20, sieve=sieve_small)
         assert base.weights.tobytes() == other.weights.tobytes()
         assert base.cum.tobytes() == other.cum.tobytes()
 
@@ -191,10 +173,9 @@ def test_histogram_shards_are_byte_identical(sieve_small):
 def test_uniform_fast_path_matches_general_walk(sieve_small):
     model = parse_model("uniform", 2)
     x, bins = 3000, 25
-    fast = accumulate_histogram(x, 2, model, bins, shards=1,
-                                sieve=sieve_small)
+    fast = accumulate_histogram(x, 2, model, bins, sieve=sieve_small)
     slow = accumulate_histogram(x, 2, parse_model("tau-weights:2;1,1"),
-                                bins, shards=1, sieve=sieve_small)
+                                bins, sieve=sieve_small)
     del slow  # different model; only exercises the general walk
     for m in range(1, bins + 1):
         u = Fraction(m, bins)
@@ -380,7 +361,7 @@ def test_domain_errors(sieve_small):
     with pytest.raises(DomainError):
         exact_lhs(10, 2, model, (Fraction(3, 2),), sieve_small)
     with pytest.raises(DomainError):
-        accumulate_histogram(100, 2, model, 5, shards=1, sieve=sieve_small)
+        accumulate_histogram(100, 2, model, 5, sieve=sieve_small)
     with pytest.raises(DomainError):
         sup_deviation(100, 2, model, Fraction(3, 10), sieve_small)
     with pytest.raises(DomainError):

@@ -198,3 +198,5 @@ def test_poly_domain_errors(irr2):
     with pytest.raises(ResourceError):
         exact_lhs_poly(2, 40, 2, (Fraction(1, 2),),
                        irr2)  # enumeration guard
+    with pytest.raises(ResourceError, match="3e8 work guard"):
+        exact_lhs_poly(2, 9, 7, (Fraction(1, 7),) * 6, irr2)

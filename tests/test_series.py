@@ -102,6 +102,9 @@ def test_series_guards(sieve_small):
         d_euler((2.0,) * 200, 200, 10, 30)
     with pytest.raises(ResourceError):  # deeper than the recursion guard
         a0_local_check(2, 900, 30)
+    for k, v_max in ((100, 300), (2, 20_000)):
+        with pytest.raises(ResourceError):  # k (V + 1)^2 above 2.5e6
+            a0_local_check(2, k, v_max)
     assert a0_local_check(2, 100, 30) == 1 - Fraction(1, 2 ** 31)
     for point in ((math.nan, 2.0), (2.0, math.inf)):
         with pytest.raises(DomainError):
