@@ -13,7 +13,7 @@ Dirichlet parameter vector of its limiting law and the growth envelope
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -24,6 +24,7 @@ from .dirichlet import DirichletParams
 from .errors import DomainError, IntegrityError, ResourceError
 
 _SIEVE_LIMIT = 100_000_000
+_TRIAL_LIMIT = 10 ** 12          # at most 10^6 trial divisions
 _MAX_LOCAL_V = 64
 
 
@@ -85,13 +86,44 @@ def primes_up_to(limit: int) -> list[int]:
 
 def smallest_prime_factor(n: int) -> int:
     """The least prime dividing n, by trial division; 0 (the sieve's
-    sentinel) for n < 2."""
+    sentinel) for n < 2.  Refused above 10^12."""
     if n < 2:
         return 0
+    if n > _TRIAL_LIMIT:
+        raise ResourceError(f"{n} exceeds the 10^12 trial-division guard")
     for p in range(2, math.isqrt(n) + 1):
         if n % p == 0:
             return p
     return n
+
+
+def least_prime_powers(sieve: SpfSieve, x: int) -> tuple[np.ndarray, ...]:
+    """(power, exponent, cofactor) for every n = 0..x: n = power[n] *
+    cofactor[n], where power[n] = spf[n]^exponent[n] exactly divides n
+    (1, 0 and n at n < 2).  The vectorised view of ``factorize``."""
+    spf = sieve.spf[: x + 1]
+    exponent = (spf > 0).astype(np.int8)
+    for p in primes_up_to(math.isqrt(x)):
+        q = p * p
+        while q <= x:               # +1 where p^v | n and spf[n] = p
+            exponent[q:: q][spf[q:: q] == p] += 1
+            q *= p
+    power = spf.astype(np.int32) ** exponent          # 0^0 = 1 at n < 2
+    return power, exponent, np.arange(x + 1, dtype=np.int32) // power
+
+
+def multiplicative_table(local: np.ndarray, cofactor: np.ndarray)\
+        -> np.ndarray:
+    """table[n] = local[n] * table[cofactor[n]] for n >= 2, local[n] below:
+    a multiplicative function at every n from its values at the least
+    prime powers (1 at n < 2) and the cofactors of ``least_prime_powers``.
+    Blocks [lo, 2 lo) fill in turn, since cofactor[n] <= n / 2 < lo."""
+    table = np.array(local)
+    lo = 2
+    while lo < len(table):
+        table[lo: 2 * lo] *= table[cofactor[lo: 2 * lo]]
+        lo *= 2
+    return table
 
 
 def factorize(n: int, sieve: SpfSieve) -> FactoredInteger:

@@ -14,11 +14,11 @@ A tuple is fixed by one weak composition of v_p(n) into k parts at each
 prime p of n.  ``_LocalTables`` calls the model's local weights once per
 prime power p^v <= x and keeps, for each, the compositions G admits with
 their float weights, the local G sum and f(p^v).  The float engines then
-walk a run of n at a time with numpy only: factor the run from the
-sieve into prime-power slots, drop the n with f(n) = 0, and expand the
-tuples slot by slot (smallest prime first) while accumulating log d_j
-and the G weight.  The histogram deposits with one ``np.bincount`` per
-run, in tuple order, into one block of cells per chunk of the fixed
+walk a run of n at a time with numpy only: split each n into prime-power
+slots by ``least_prime_powers``, drop the n with f(n) = 0, and expand
+the tuples slot by slot (smallest prime first) while accumulating log
+d_j and the G weight.  The histogram deposits with one ``np.bincount``
+per run, in tuple order, into one block of cells per chunk of the fixed
 chunk list, so its bits depend on that list alone; the float
 ``exact_lhs`` sums the in-box weight per n.  ``mc_lhs`` samples from the
 same tables: per prime slot it draws one row with probability G / G_sum.
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import quadrature
 from .arith import (FactoredInteger, SpfSieve, WeightModel, compositions,
-                    factorize)
+                    factorize, least_prime_powers, multiplicative_table)
 from .dirichlet import cdf
 from .errors import (DomainError, IntegrityError, ResourceError,
                      UnsupportedError)
@@ -152,53 +152,38 @@ class _LocalTables:
     """
 
     def __init__(self, model: WeightModel, x: int, sieve: SpfSieve):
-        k = model.k
-        self.k = k
+        self.k = k = model.k
         self.model_id = model.model_id
-        spf = sieve.spf[: x + 1]
-        entry_of = np.zeros(x + 1, dtype=np.int32)
         interned: dict = {}        # (f, G sum, rows, G weights) -> id
 
         def intern(*table) -> int:
             return interned.setdefault(table, len(interned))
 
+        # n = power[n] * cofactor[n]; the walker steps along the cofactors
+        power, exponent, self._cofactor = least_prime_powers(sieve, x)
+        # entry i >= 1: the i-th p^v <= x by (p, v), as ``draw``'s keys need
+        pp = np.flatnonzero(self._cofactor == 1)[1:]
+        pp = pp[np.lexsort((pp, sieve.spf[pp]))]
         entry_table = [intern(1.0, 1.0, ((0,) * k,), (1.0,))]
         entry_logp = [0.0]
-        primes = np.flatnonzero(
-            spf[2:] == np.arange(2, x + 1, dtype=spf.dtype)) + 2
-        for p in primes.tolist():
-            lp = math.log(p)
-            q, v = p, 1
-            while q <= x:
-                f = model.f_local(p, v)
-                if f == 0:
-                    tid = intern(0.0, 0.0, (), ())
-                else:
-                    rows, gs = [], []
-                    for comp in compositions(v, k):
-                        g = model.g_local(p, comp)
-                        if g != 0:
-                            rows.append(comp)
-                            gs.append(g)
-                    tid = intern(float(f), float(sum(gs)), tuple(rows),
-                                 tuple(float(g) for g in gs))
-                entry_of[q] = len(entry_table)
-                entry_table.append(tid)
-                entry_logp.append(lp)
-                q *= p
-                v += 1
-        # power[n]: the power of spf[n] that exactly divides n
-        power = spf.astype(np.int32)
-        power[:2] = 1
-        for p in primes[primes <= math.isqrt(x)].tolist():
-            q = p * p
-            while q <= x:
-                view = power[q:: q]
-                view[spf[q:: q] == p] = q
-                q *= p
-        # n = power[n] * cofactor[n]; the walker steps along the cofactors
+        for p, v in zip(sieve.spf[pp].tolist(), exponent[pp].tolist()):
+            f = model.f_local(p, v)
+            if f == 0:
+                tid = intern(0.0, 0.0, (), ())
+            else:
+                rows, gs = [], []
+                for comp in compositions(v, k):
+                    g = model.g_local(p, comp)
+                    if g != 0:
+                        rows.append(comp)
+                        gs.append(g)
+                tid = intern(float(f), float(sum(gs)), tuple(rows),
+                             tuple(float(g) for g in gs))
+            entry_table.append(tid)
+            entry_logp.append(math.log(p))
+        entry_of = np.zeros(x + 1, dtype=np.int32)
+        entry_of[pp] = np.arange(1, len(pp) + 1)
         self._entry = entry_of[power]
-        self._cofactor = np.arange(x + 1, dtype=np.int32) // power
         tables = list(interned)
         self._table = np.array(entry_table, dtype=np.int64)
         self._logp = np.array(entry_logp)
@@ -223,19 +208,17 @@ class _LocalTables:
 
     def _slots(self, m: np.ndarray):
         """Per n in ``m``: the entry of each prime power (one array per
-        prime, smallest first), f(n), G_total(n) and the tuple count."""
+        prime, smallest first), f(n) and G_total(n)."""
         f = np.ones(len(m))
         g_total = np.ones(len(m))
-        count = np.ones(len(m), dtype=np.int64)
         slots = []
         while (entry := self._entry[m]).any():
             tid = self._table[entry]
             f *= self._f[tid]
             g_total *= self._g_sum[tid]
-            count *= self._row_count[tid]
             slots.append(entry)
             m = self._cofactor[m]
-        return slots, f, g_total, count
+        return slots, f, g_total
 
     def draw(self, entry: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One row of each entry's table per uniform u in [0, 1): the
@@ -254,16 +237,15 @@ class _LocalTables:
             raise IntegrityError(f"model {self.model_id} vanishes on "
                                  f"n={int(n[bad[0]])} with f>0")
 
-    def tuples(self, ranges: list[tuple[int, int]]) -> list[int]:
-        """How many tuples ``leaves`` returns on each of consecutive
-        ranges (lo, hi)."""
-        lo = ranges[0][0]
-        count = self._slots(np.arange(lo, ranges[-1][1]))[3]
-        return np.add.reduceat(count, [a - lo for a, _ in ranges]).tolist()
+    def tuple_counts(self) -> np.ndarray:
+        """How many tuples ``leaves`` returns on each n = 0..x: the
+        product of the row counts of the tables of n's prime powers."""
+        local = self._row_count[self._table[self._entry]]
+        return multiplicative_table(local, self._cofactor)
 
     def leaves(self, lo: int, hi: int) -> _Leaves:
         """The tuples of every n in [lo, hi) with f(n) != 0."""
-        slots, f, g_total, _ = self._slots(np.arange(lo, hi))
+        slots, f, g_total = self._slots(np.arange(lo, hi))
         keep = np.flatnonzero(f)
         n = keep + lo
         f = f[keep]
@@ -432,9 +414,8 @@ def _passes(tables: _LocalTables, x: int,
     about _PASS_TUPLES of that.
     """
     ranges = _chunk_ranges(x)
-    counts = []
-    for i in range(0, len(ranges), 32):     # at most 16k n at a time
-        counts += tables.tuples(ranges[i: i + 32])
+    counts = np.add.reduceat(tables.tuple_counts()[1:],
+                             [lo - 1 for lo, _ in ranges]).tolist()
     passes: list[list[tuple[int, int]]] = []
     size = _PASS_TUPLES
     for rng, count in zip(ranges, counts):
@@ -501,12 +482,9 @@ def _accumulate_uniform_k2(x: int, bins: int, sieve: SpfSieve):
     2*sqrt(x) while numpy handles the ~x log x deposits.
     """
     split = math.isqrt(x)
-    tau = np.zeros(x + 1, dtype=np.int64)
-    for d in range(1, split + 1):        # divisor pairs d <= n/d
-        tau[d * d] += 1
-        tau[d * (d + 1):: d] += 2
-    inv_tau = np.zeros(x + 1)
-    inv_tau[1:] = 1.0 / tau[1:]
+    exponent, cofactor = least_prime_powers(sieve, x)[1:]
+    inv_tau = 1.0 / multiplicative_table(exponent + 1.0, cofactor)
+    del exponent, cofactor               # freed before the deposits
     hist = np.zeros(bins)
     hist[0] += 1.0                       # n = 1 at the origin
     logn = np.zeros(x + 1)
@@ -587,7 +565,7 @@ def mc_lhs(x: int, k: int, model: WeightModel, rect, n_samples: int,
     got = 0
     while got < n_samples:
         n = rng.integers(1, x + 1, size=_MC_BATCH)
-        slots, f, g_total, _ = tables._slots(n)
+        slots, f, g_total = tables._slots(n)
         keep = np.flatnonzero(rng.random(_MC_BATCH) < f)[: n_samples - got]
         n = n[keep]
         tables.check_g_total(n, g_total[keep])

@@ -117,23 +117,19 @@ class IrreducibleTable:
 
 def _check_q(q: int):
     """The field size every table and enumeration accepts."""
-    if q < 2 or smallest_prime_factor(q) != q:
-        raise DomainError("q must be a prime")
     if q > _MAX_Q:
         raise ResourceError(f"q must be at most {_MAX_Q}")
+    if q < 2 or smallest_prime_factor(q) != q:
+        raise DomainError("q must be a prime")
 
 
 def _mobius(n: int) -> int:
     out = 1
-    p = 2
-    while p * p <= n:
+    while n > 1:
+        p = smallest_prime_factor(n)
+        n //= p
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
+            return 0
         out = -out
     return out
 

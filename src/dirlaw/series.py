@@ -26,7 +26,8 @@ import numpy as np
 from scipy.special import zeta as _zeta
 
 from .arith import (FactoredInteger, SpfSieve, WeightModel, factorize,
-                    local_g_sum, primes_up_to, smallest_prime_factor)
+                    least_prime_powers, local_g_sum, multiplicative_table,
+                    primes_up_to, smallest_prime_factor)
 from .errors import DomainError, IntegrityError, ResourceError
 
 _DIRECT_N_MAX = 100_000
@@ -150,7 +151,8 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
     last = np.asarray(axes[-1])
     n_rows, n_cols = sizes[-2:]
     comb = _comb_weights(k, sum(n.bit_length() for n in sizes) + 1)
-    tau = _tau_table(max(sizes), comb)
+    _, exponent, cofactor = least_prime_powers(sieve, max(sizes))
+    tau = multiplicative_table(comb[exponent], cofactor)
     primes = primes_up_to(n_cols)
     step = max(1, _BLOCK_CELLS // n_cols)
     re_rows, im_rows = [], []
@@ -171,15 +173,6 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
                 im_rows += [math.fsum(memoryview(row))
                             for row in terms.imag]
     return complex(math.fsum(re_rows), math.fsum(im_rows) if im_rows else 0.0)
-
-
-def _tau_table(limit: int, comb: np.ndarray) -> np.ndarray:
-    """tau_k(n) = prod_p comb[v_p(n)] for n = 0..limit (entry 0 unused),
-    where comb[v] = C(v + k - 1, k - 1), as exact floats."""
-    tau = np.ones(limit + 1)
-    for p in primes_up_to(limit):
-        tau[p::p] *= comb[1 + _vp(p, 1, limit // p + 1)]
-    return tau
 
 
 def _vp(p: int, lo: int, hi: int) -> np.ndarray:

@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirlaw.arith import (BUILTIN_MODELS, build_spf_sieve, compositions,
-                          factorize, local_g_sum, model_coprime,
-                          model_residues, model_tau_weights,
-                          model_two_squares, model_uniform, parse_model,
-                          primes_up_to, sample_factorization, tau_k,
+                          factorize, least_prime_powers, local_g_sum,
+                          model_coprime, model_residues, model_tau_weights,
+                          model_two_squares, model_uniform,
+                          multiplicative_table, parse_model, primes_up_to,
+                          sample_factorization, smallest_prime_factor, tau_k,
                           tau_real, total_g)
-from dirlaw.errors import DomainError
+from dirlaw.errors import DomainError, ResourceError
 
 
 def _divisors(n):
@@ -38,6 +42,32 @@ def test_tau_k_counts_ordered_tuples(sieve_small):
         triple = sum(len(_divisors(n // d)) for d in _divisors(n))
         assert tau_k(fn, 3) == triple
         assert tau_k(fn, 1) == 1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(x=st.integers(1, 5000), k=st.integers(1, 5))
+def test_least_prime_powers_and_tau_table_match_factorize(x, k,
+                                                         sieve_small):
+    power, exponent, cofactor = least_prime_powers(sieve_small, x)
+    assert len(power) == len(exponent) == len(cofactor) == x + 1
+    assert power[1] == 1 and exponent[1] == 0 and cofactor[1] == 1
+    comb = np.array([math.comb(v + k - 1, k - 1) for v in range(14)],
+                    dtype=np.float64)
+    tau = multiplicative_table(comb[exponent], cofactor)
+    for n in range(2, x + 1):
+        fn = factorize(n, sieve_small)
+        p, v = fn.factors[0]
+        assert (power[n], exponent[n], cofactor[n]) == (p ** v, v, n // p ** v)
+        assert tau[n] == tau_k(fn, k)
+    assert tau[1] == 1.0
+
+
+def test_smallest_prime_factor_guard():
+    assert [smallest_prime_factor(n) for n in (0, 1, 2, 91, 97)] \
+        == [0, 0, 2, 7, 97]
+    assert smallest_prime_factor(10 ** 12) == 2
+    with pytest.raises(ResourceError, match="trial-division guard"):
+        smallest_prime_factor(10 ** 12 + 1)
 
 
 def test_tau_real_extends_tau_k(sieve_small):

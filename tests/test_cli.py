@@ -320,6 +320,33 @@ def test_run_writes_csv_and_manifest(capsys, tmp_path, monkeypatch):
     assert code == 0 and len(out.strip().split("\n")) == 21
 
 
+def test_summary_line_takes_the_stream_the_payload_leaves(capsys,
+                                                         tmp_path):
+    argv = ("integers", "run", "--x", "1000", "--k", "2", "--grid", "1/2")
+    code, out, err = run(capsys, *argv)
+    payload, summary = out.splitlines(), err.splitlines()
+    assert code == 0 and payload[0] == "u_1,empirical,limit,deviation"
+    assert len(summary) == 1 and summary[0].startswith("scale=1000 ")
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "o.csv"))
+    assert code == 0 and out.splitlines() == summary and not err
+    assert (tmp_path / "o.csv").read_text().splitlines() == payload
+
+
+def test_huge_primes_are_refused_before_trial_division(capsys):
+    for argv in [("series", "a0", "--p", "1000000000000000003", "--k", "2",
+                  "--vmax", "2"),
+                 ("polys", "exact", "--q", "1000000000000000003", "--n", "2",
+                  "--k", "2", "--u", "1/2")]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and not out and "Traceback" not in err
+    # the largest prime below the 10^12 guard is still checked
+    code, out, _ = run(capsys, "series", "a0", "--p", "999999999989", "--k",
+                       "2", "--vmax", "2")
+    assert code == 0 and out.strip().startswith("999999999967")
+
+
 def test_run_json_schema(capsys):
     code, out, err = run(capsys, "integers", "run", "--x", "1000",
                          "--k", "2", "--grid", "1/5", "--format", "json")

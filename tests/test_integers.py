@@ -159,6 +159,32 @@ def test_walker_float_lhs_matches_exact_at_rational_corners(case, x, data,
     assert abs(fl - float(ex)) <= 5e-14, (case, x, u, fl, ex)
 
 
+# every model spelling of this file, with its k (None: the model's own)
+SPELLINGS = sorted({(s, k) for s, k, _ in WALKER_CASES} | {
+    ("uniform", 2), ("squarefree", 2), ("squarefree", 3), ("two-squares", 2),
+    ("coprime", 2), ("coprime:1-3", 4), ("tau-weights:2;1,1", 2),
+    ("tau-weights:2;1,3,1/2", 3), ("tau-weights:1;1,2,3", 3),
+    ("tau-weights:1;1,1,2", 3)}, key=str)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=st.sampled_from(SPELLINGS), x=st.integers(1, 5000))
+def test_tuple_count_table_matches_the_slots(case, x, sieve_small):
+    """The multiplicative tuple counts against the product of the row
+    counts along ``_slots``, and against the tuples ``leaves`` returns."""
+    tables = integers._LocalTables(parse_model(*case), x, sieve_small)
+    counts = tables.tuple_counts()
+    slots, f, _ = tables._slots(np.arange(x + 1))
+    want = np.ones(x + 1, dtype=np.int64)
+    for entry in slots:
+        want *= tables._row_count[tables._table[entry]]
+    assert counts.tolist() == want.tolist()
+    lv = tables.leaves(1, x + 1)
+    assert np.bincount(lv.owner, minlength=len(lv.n)).tolist() \
+        == counts[lv.n].tolist()
+    assert not counts[1:][f[1:] == 0].any()
+
+
 @pytest.mark.parametrize("spelling", ["nested", "tau-weights:1;1,2,3"])
 def test_walker_bits_ignore_passes(spelling, sieve_small, monkeypatch):
     model = parse_model(spelling, 3)
@@ -232,7 +258,7 @@ def _drawn_tuples(tables, n, size, seed):
     """(d_1, ..., d_{k-1}) of ``size`` tuples of n, one ``draw`` per prime
     slot, counted."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    slots, f, _, _ = tables._slots(np.full(size, n))
+    slots, f, _ = tables._slots(np.full(size, n))
     assert f[0] > 0
     parts = np.ones((tables.k - 1, size), dtype=np.int64)
     for entry in slots:
