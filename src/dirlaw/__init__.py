@@ -25,7 +25,7 @@ from .perms import (CycleType, StirlingTable, build_stirling, cycle_types,
 from .polyfield import (FactoredPoly, IrreducibleTable, PolyQ,
                         build_irreducibles, deviation_poly, exact_lhs_poly,
                         factor_poly, irreducible_count, poly_divrem,
-                        poly_from_code, poly_mul, tau_k_poly)
+                        poly_from_code, poly_mul)
 from .report import DeviationReport, convergence_csv, rect_grid, report_csv
 from .series import (SeriesPoint, a0_local_check, d_direct, d_euler,
                      prime_sum_diag)
@@ -51,6 +51,6 @@ __all__ = [
     "parse_model", "poly_divrem", "poly_from_code", "poly_mul",
     "prime_sum_diag", "primes_up_to", "rect_grid", "report_csv", "sample",
     "sample_factorization", "sample_many", "simplex_mass",
-    "stirling_first", "sup_deviation", "tau_k", "tau_k_poly", "tau_real",
-    "total_g", "weighted_sum_S", "__version__",
+    "stirling_first", "sup_deviation", "tau_k", "tau_real", "total_g",
+    "weighted_sum_S", "__version__",
 ]

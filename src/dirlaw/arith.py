@@ -6,8 +6,7 @@ weight on n, and G assigns a nonnegative multiplicative weight to each
 ordered k-tuple (d_1, ..., d_k) with product n.  Both are described by
 local data at prime powers; the exponent vector of a tuple at a prime p
 is a weak composition of v_p(n) into k parts.  Each model carries the
-Dirichlet parameter vector of its limiting law and the growth envelope
-(beta, c, delta) it declares for its normalized local values.
+Dirichlet parameter vector of its limiting law.
 """
 
 from __future__ import annotations
@@ -146,7 +145,8 @@ def factorize(n: int, sieve: SpfSieve) -> FactoredInteger:
 
 
 def tau_k(fn: FactoredInteger, k: int) -> int:
-    """Number of ordered k-tuples with product n: prod C(v+k-1, k-1)."""
+    """Number of ordered k-tuples with product n: prod C(v+k-1, k-1).
+    Also counts monic tuples for a ``polyfield.FactoredPoly``."""
     if k < 1:
         raise DomainError("k must be at least 1")
     out = 1
@@ -200,9 +200,8 @@ class WeightModel:
     ``f_local(p, v)`` is the weight of p^v inside f; ``g_local(p, comp)``
     the weight of a local exponent composition inside G.  ``alpha_exact``
     is the limiting Dirichlet parameter vector as exact rationals, with
-    ``theta`` its total.  ``beta``, ``c_decl`` and ``delta_decl`` are the
-    declared (not verified) growth envelope of the normalized local
-    values.  ``exact`` marks models whose local weights are rationals.
+    ``theta`` its total.  ``exact`` marks models whose local weights are
+    rationals.
     """
 
     model_id: str
@@ -210,9 +209,6 @@ class WeightModel:
     f_local: Callable[[int, int], object]
     g_local: Callable[[int, tuple[int, ...]], object]
     alpha_exact: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
-    c_decl: float = 1.0
-    delta_decl: float = 0.5
     exact: bool = True
     f_bounded_by_one: bool = True
 
@@ -281,7 +277,6 @@ def model_uniform(k: int) -> WeightModel:
         f_local=lambda p, v: 1,
         g_local=lambda p, comp: 1,
         alpha_exact=(Fraction(1, k),) * k,
-        beta=(Fraction(1, k),) * k,
     )
 
 
@@ -309,7 +304,7 @@ def model_tau_weights(theta, lambdas: Sequence) -> WeightModel:
     return WeightModel(
         model_id="tau-weights", k=k, f_local=lambda p, v: f_of(v),
         g_local=lambda p, comp: g_of(comp),
-        alpha_exact=alpha, beta=alpha,
+        alpha_exact=alpha,
         f_bounded_by_one=(th <= 1),
     )
 
@@ -346,7 +341,6 @@ def model_residues(q: int) -> WeightModel:
     return WeightModel(
         model_id=f"residues({q})", k=k, f_local=f_local, g_local=g_local,
         alpha_exact=(Fraction(1, k),) * k,
-        beta=(Fraction(1),) * k,
     )
 
 
@@ -363,7 +357,6 @@ def model_two_squares(k: int) -> WeightModel:
         model_id="two-squares", k=k, f_local=f_local,
         g_local=lambda p, comp: 1,
         alpha_exact=(Fraction(1, 2 * k),) * k,
-        beta=(Fraction(1, k),) * k,
     )
 
 
@@ -378,7 +371,6 @@ def model_squarefree(k: int) -> WeightModel:
         model_id="squarefree", k=k, f_local=f_local,
         g_local=lambda p, comp: 1,
         alpha_exact=(Fraction(1, k),) * k,
-        beta=(Fraction(1, k),) * k,
     )
 
 
@@ -409,7 +401,6 @@ def model_coprime(k: int, allowed_pairs: Sequence[tuple[int, int]] = ())\
         model_id="coprime", k=k,
         f_local=lambda p, v: 1, g_local=g_local,
         alpha_exact=(Fraction(1, k),) * k,
-        beta=(Fraction(1),) * k,
     )
 
 
@@ -432,7 +423,7 @@ def model_nested(k: int) -> WeightModel:
     return WeightModel(
         model_id="nested", k=k,
         f_local=lambda p, v: 1, g_local=g_local,
-        alpha_exact=alpha, beta=alpha,
+        alpha_exact=alpha,
     )
 
 

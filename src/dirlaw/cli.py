@@ -13,11 +13,11 @@ error, 4 integrity error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -95,52 +95,25 @@ def _model_for(args, k: int | None) -> WeightModel:
 
 # ------------------------------------------------------------- manifests
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one CLI run bit-identically."""
-
-    kind: str
-    params: dict
-    seed: int
-    tool_version: str
-    timestamp_utc: str
-    outputs: tuple[str, ...]
-
-    def to_json(self) -> str:
-        def clean(v):
-            if isinstance(v, Fraction):
-                return str(v)
-            if isinstance(v, (tuple, list)):
-                return [clean(c) for c in v]
-            return v
-
-        body = dataclasses.asdict(self)
-        body["params"] = {k: clean(v) for k, v in sorted(body["params"].items())}
-        body["outputs"] = list(body["outputs"])
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
-
-
 def _now_utc() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _manifest(kind: str, params: dict, seed: int, outputs) -> RunManifest:
-    return RunManifest(kind=kind, params=params, seed=seed,
-                       tool_version=__version__, timestamp_utc=_now_utc(),
-                       outputs=tuple(str(p) for p in outputs))
-
-
 def _emit(payload: str, args, kind: str, params: dict) -> None:
-    """Write a report payload to --out (plus manifest) or stdout."""
+    """Write a report payload to --out, plus a manifest of everything
+    needed to reproduce it bit-identically, or to stdout."""
     out = getattr(args, "out", None)
-    seed = int(getattr(args, "seed", 0) or 0)
     if out is None or out == "-":
         sys.stdout.write(payload)
         return
     path = Path(out)
     path.write_text(payload)
-    manifest = _manifest(kind, params, seed, [path])
-    Path(str(path) + ".manifest.json").write_text(manifest.to_json())
+    manifest = {"kind": kind, "params": params,
+                "seed": getattr(args, "seed", 0),
+                "tool_version": __version__, "timestamp_utc": _now_utc(),
+                "outputs": [str(path)]}
+    Path(str(path) + ".manifest.json").write_text(json.dumps(
+        manifest, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _report_json(kind: str, reports: list[DeviationReport],
@@ -377,11 +350,19 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
                    help="output path (default stdout)")
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("seed must be at least 0")
+    return int(text)
+
+
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: ``main`` only reads it."""
     top = argparse.ArgumentParser(
         prog="dirlaw",
         description="Dirichlet limit laws for k-part factorizations.")

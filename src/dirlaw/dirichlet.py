@@ -38,6 +38,9 @@ _MAX_CDF_DIMS = 4          # CDF coordinate cap (k - 1)
 _MAX_LEVEL = 6             # finest tanh-sinh level tried by the CDF
 _SAMPLE_CELLS = 10 ** 7    # most samples * k floats ``sample_many`` holds
 _MC_BATCH = 1_000_000      # draws per ``cdf_monte_carlo`` batch
+# largest alpha_i at which ``_log_norm`` keeps 1e-9 relative accuracy (worst
+# error vs. mpmath over max(1, |value|), k <= 5: 1.6e-10 at 1e5, 2e-9 at 1e6)
+_MAX_ALPHA = 1e5
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,8 @@ class DirichletParams:
             raise DomainError("Dirichlet parameters need k >= 2 components")
         if any(not (a > 0.0) or not math.isfinite(a) for a in self.alpha):
             raise DomainError("every alpha_i must be finite and > 0")
+        if max(self.alpha) > _MAX_ALPHA:
+            raise DomainError(f"every alpha_i must be at most {_MAX_ALPHA:g}")
 
     @property
     def k(self) -> int:
@@ -161,11 +166,13 @@ def _stick_breaking(alpha: tuple[float, ...], u: np.ndarray,
         # 1 - t_1 = (1 - u_1) + u_1 q without cancellation; q when u_1 = 1.
         omt = (1.0 - u1) + u1 * q
         inner = np.minimum(1.0, u[:, None, 1:] / omt[:, :, None])
-        # 1 - t_1 underflows to 0 only at nodes of negligible weight
-        face = np.where(omt > 0.0, omt ** (b - 1.0), 0.0)
+        # normalizer * u_1^a * (1 - t_1)^(b - 1) in log space, as each factor
+        # can overflow; 1 - t_1 underflows only at nodes of negligible weight
+        face = np.where(omt > 0.0, np.exp(
+            _log_norm((a, b)) + a * np.log(u1) + (b - 1.0) * np.log(omt)),
+            0.0)
     g = _stick_breaking(alpha[1:], inner.reshape(-1, d - 1), level)
-    vals = face * g.reshape(m, -1)
-    return math.exp(_log_norm((a, b))) * u[:, 0] ** a / a * (vals @ w)
+    return (face * g.reshape(m, -1)) @ w / a
 
 
 @lru_cache(maxsize=200_000)

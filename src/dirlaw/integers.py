@@ -530,6 +530,8 @@ def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
 def grid_bins(grid_step) -> int:
     """Bins per axis after ``sup_deviation``'s sieve-free grid checks."""
     step = Fraction(grid_step)
+    if step <= 0:
+        raise DomainError("grid step must lie in (0, 1/2]")
     bins = Fraction(1) / step
     if bins.denominator != 1:
         raise DomainError("grid step must divide 1")

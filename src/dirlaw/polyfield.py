@@ -184,29 +184,6 @@ def poly_divrem(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ]:
     return PolyQ(q, tuple(quot)), PolyQ(q, tuple(rem))
 
 
-def _code_mul(q: int, a: int, b: int) -> int:
-    """Product of two codes; carry-free convolution on base-q digits."""
-    da = []
-    while a:
-        da.append(a % q)
-        a //= q
-    db = []
-    while b:
-        db.append(b % q)
-        b //= q
-    if not da or not db:
-        return 0
-    out = [0] * (len(da) + len(db) - 1)
-    for i, ca in enumerate(da):
-        if ca:
-            for j, cb in enumerate(db):
-                out[i + j] += ca * cb
-    c = 0
-    for d in reversed(out):
-        c = c * q + d % q
-    return c
-
-
 # ------------------------------------------------------ irreducible sieve
 
 def build_irreducibles(q: int, max_deg: int) -> IrreducibleTable:
@@ -221,36 +198,38 @@ def build_irreducibles(q: int, max_deg: int) -> IrreducibleTable:
     sif = _factor_sieve(q, max_deg)
     by_degree = []
     for d in range(1, max_deg + 1):
-        lo, hi = q ** d, 2 * q ** d
-        codes = [c for c in range(lo, hi) if sif[c] == 0]
-        by_degree.append(tuple(codes))
+        lo = q ** d
+        by_degree.append(tuple(
+            (np.flatnonzero(sif[lo:2 * lo] == 0) + lo).tolist()))
     return IrreducibleTable(q, max_deg, tuple(by_degree)).validate()
 
 
 def _factor_sieve(q: int, max_deg: int) -> np.ndarray:
     """sif over all monic codes of degree <= max_deg: the code of the
     smallest irreducible factor of c in (degree, code) order, 0 if c is
-    irreducible or trivial."""
+    irreducible or trivial.
+
+    Digit j of P*G, over all monic G of degree dg at once, is the sum of
+    P_i * G_(j-i) mod q; digit m < dg of G runs through 0..q-1 in blocks
+    of q^m codes, so it is a broadcast over a (-1, q, q^m) view.
+    """
     sif = np.zeros(2 * q ** max_deg, dtype=np.int64)
+    # digit sums stay below (max_deg/2 + 1)(q - 1)^2 <= 576 under the guards
+    digits = np.arange(q, dtype=np.int16)[:, None]
     for dp in range(1, max_deg // 2 + 1):
-        prim = [c for c in range(q ** dp, 2 * q ** dp) if sif[c] == 0]
-        for pc in prim:
+        lo = q ** dp
+        for pc in (np.flatnonzero(sif[lo:2 * lo] == 0) + lo).tolist():
+            pd = poly_from_code(q, pc).coeffs
             for dg in range(dp, max_deg - dp + 1):
-                if q == 2:
-                    g = np.arange(1 << dg, 1 << (dg + 1), dtype=np.int64)
-                    prod = np.zeros_like(g)
-                    bits = pc
-                    shift = 0
-                    while bits:
-                        if bits & 1:
-                            prod ^= g << shift
-                        bits >>= 1
-                        shift += 1
-                else:
-                    prod = np.fromiter(
-                        (_code_mul(q, pc, int(gc))
-                         for gc in range(q ** dg, 2 * q ** dg)),
-                        dtype=np.int64)
+                prod = np.zeros(q ** dg, dtype=np.int64)
+                for j in range(dp + dg, -1, -1):
+                    s = np.zeros(q ** dg, dtype=np.int16)
+                    for i, c in enumerate(pd):
+                        if c and j - i == dg:      # G is monic
+                            s += c
+                        elif c and 0 <= j - i < dg:
+                            s.reshape(-1, q, q ** (j - i))[...] += c * digits
+                    prod = prod * q + s % q
                 sif[prod[sif[prod] == 0]] = pc
     return sif
 
@@ -287,16 +266,6 @@ def factor_poly(f: PolyQ, table: IrreducibleTable) -> FactoredPoly:
         facs.append((rest, 1))   # irreducible by the half-degree rule
     facs.sort(key=lambda pe: (pe[0].degree, pe[0].code))
     return FactoredPoly(f, tuple(facs))
-
-
-def tau_k_poly(fp: FactoredPoly, k: int) -> int:
-    """Ordered k-tuples of monic polynomials with the given product."""
-    if k < 1:
-        raise DomainError("k must be positive")
-    out = 1
-    for _, e in fp.factors:
-        out *= math.comb(e + k - 1, k - 1)
-    return out
 
 
 # ------------------------------------------------------ mean statistics

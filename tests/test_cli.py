@@ -123,6 +123,38 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     assert not list(tmp_path.glob("spf_*.bin"))
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("integers", "run", "--x", "100", "--k", "2", "--grid", "0"),
+     "grid step must lie in (0, 1/2]"),
+    (("integers", "converge", "--x", "100,200", "--k", "2", "--grid", "0"),
+     "grid step must lie in (0, 1/2]"),
+    (("integers", "mc", "--x", "1000", "--k", "2", "--u", "1/2", "--seed",
+      "-1"), "seed must be at least 0"),
+    (("dirichlet", "sample", "--alpha", "1,1", "--seed", "-5"),
+     "seed must be at least 0"),
+    (("dirichlet", "cdf", "--alpha", "2e5,1,1", "--u", "0.5,0.2"),
+     "every alpha_i must be at most 100000"),
+    (("dirichlet", "density", "--alpha", "1e100,1e100", "--t", "0.5,0.5"),
+     "every alpha_i must be at most 100000"),
+    (("dirichlet", "sample", "--alpha", "1,100001"),
+     "every alpha_i must be at most 100000")])
+def test_out_of_domain_values_exit_2_with_one_error_line(capsys, argv,
+                                                         message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("integers", "run", "--x", "300", "--k", "2", "--grid", "1/4")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["bins"] == 4
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("u_1,empirical,limit,deviation\n")
+
+
 @pytest.mark.parametrize("spelling", ["residues:abc", "coprime:1-x",
                                       "tau-weights:a;1,2,3"])
 def test_malformed_model_is_usage_error(capsys, spelling):
@@ -185,7 +217,7 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
         assert code == 3 and message in err and not out
 
 
-_GRIDS = st.sampled_from(["1/2", "1/3", "1/4", "1/5"])
+_GRIDS = st.sampled_from(["1/2", "1/3", "1/4", "1/5", "0"])
 _SCALES = st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True)
 # polys k: small tensors, or k - 1 >= 25 so that (n + 1)^(k - 1) > 1e7
 _POLY_K = st.one_of(st.integers(1, 5), st.integers(26, 40))
@@ -318,6 +350,30 @@ def test_run_writes_csv_and_manifest(capsys, tmp_path, monkeypatch):
     # x = 1 is inside the domain: only n = 1, at the origin
     code, out, _ = run(capsys, "integers", "run", "--x", "1", "--k", "2")
     assert code == 0 and len(out.strip().split("\n")) == 21
+
+
+def test_manifest_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_now_utc", lambda: "2000-01-01T00:00:00Z")
+    conv, samp = tmp_path / "conv.csv", tmp_path / "samp.csv"
+    assert run(capsys, "integers", "converge", "--x", "100,300", "--k", "2",
+               "--grid", "1/4", "--out", str(conv))[0] == 0
+    assert run(capsys, "dirichlet", "sample", "--alpha", "0.5,1.5",
+               "--samples", "2", "--seed", "7", "--out", str(samp))[0] == 0
+    assert (tmp_path / "conv.csv.manifest.json").read_text() == (
+        '{\n  "kind": "converge",\n  "outputs": [\n'
+        f'    {json.dumps(str(conv))}\n  ],\n'
+        '  "params": {\n    "engine": "integers",\n    "format": "csv",\n'
+        '    "grid": "1/4",\n    "k": 2,\n    "model": "uniform",\n'
+        '    "x": [\n      100,\n      300\n    ]\n  },\n  "seed": 0,\n'
+        '  "timestamp_utc": "2000-01-01T00:00:00Z",\n'
+        '  "tool_version": "0.1.0"\n}\n')
+    assert (tmp_path / "samp.csv.manifest.json").read_text() == (
+        '{\n  "kind": "dirichlet",\n  "outputs": [\n'
+        f'    {json.dumps(str(samp))}\n  ],\n'
+        '  "params": {\n    "alpha": [\n      0.5,\n      1.5\n    ],\n'
+        '    "samples": 2\n  },\n  "seed": 7,\n'
+        '  "timestamp_utc": "2000-01-01T00:00:00Z",\n'
+        '  "tool_version": "0.1.0"\n}\n')
 
 
 def test_summary_line_takes_the_stream_the_payload_leaves(capsys,

@@ -66,10 +66,12 @@ def test_cdf_k3_matches_box_integral(alpha, u):
 @pytest.mark.parametrize("alpha,u", [
     ((24.0, 28.0, 38.0), (0.5, 0.42)),
     ((37.0, 15.0, 32.0), (0.73, 0.22)),
+    ((1000.0, 1000.0, 1000.0), (0.3, 0.34)),
 ])
 def test_cdf_large_alpha_matches_beta_mixture(alpha, u):
     # Large alpha puts the mass where s = (t/u)^alpha is tiny, so these
-    # corners need log(s) to full relative accuracy near s = 0.  The
+    # corners need log(s) to full relative accuracy near s = 0.  At alpha
+    # = 1000 the normalizer alone overflows a float.  The
     # oracle is the Beta(a_1, a_2 + a_3) mixture of mpmath's incomplete
     # beta function, integrated in t on 40 pieces at 20 digits.
     a1, a2, a3 = alpha

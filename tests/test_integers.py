@@ -322,7 +322,7 @@ def test_mc_lhs_refuses_vanishing_g(sieve_small):
     model = WeightModel(
         model_id="no-split-at-3", k=2, f_local=lambda p, v: 1,
         g_local=lambda p, comp: 0 if p == 3 and sum(comp) else 1,
-        alpha_exact=(Fraction(1, 2),) * 2, beta=(Fraction(1, 2),) * 2)
+        alpha_exact=(Fraction(1, 2),) * 2)
     with pytest.raises(IntegrityError, match="vanishes"):
         mc_lhs(100, 2, model, (Fraction(1, 2),), 1000, seed=0,
                sieve=sieve_small)

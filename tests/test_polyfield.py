@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from dirlaw import polyfield
+from dirlaw.arith import tau_k
 from dirlaw.errors import DomainError, IntegrityError
 from dirlaw.polyfield import (IrreducibleTable, PolyQ, build_irreducibles,
                               deviation_poly, exact_lhs_poly, factor_poly,
                               irreducible_count, poly_divrem, poly_from_code,
-                              poly_mul, tau_k_poly)
+                              poly_mul)
 
 
 def _random_poly(q, deg, rng):
@@ -68,6 +69,23 @@ def test_irreducible_counts_match_necklace_formula(q):
         assert [len(c) for c in table.by_degree] == [2, 1, 2, 3, 6, 9]
 
 
+@pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 5), (5, 4), (7, 3),
+                                         (11, 3), (13, 3)])
+def test_factor_sieve_matches_trial_division(q, max_deg):
+    # sif[c] is the first monic divisor of degree 1..deg/2 in (degree,
+    # code) order, which is c's smallest irreducible factor, or 0
+    sif = polyfield._factor_sieve(q, max_deg)
+    assert sif.shape == (2 * q ** max_deg,)
+    for d in range(1, max_deg + 1):
+        for code in range(q ** d, 2 * q ** d):
+            f = poly_from_code(q, code)
+            monics = (g for e in range(1, d // 2 + 1)
+                      for g in range(q ** e, 2 * q ** e))
+            want = next((g for g in monics if not poly_divrem(
+                f, poly_from_code(q, g))[1].coeffs), 0)
+            assert sif[code] == want, (q, code)
+
+
 def test_validate_rejects_tampering():
     table = build_irreducibles(2, 4)
     bad = IrreducibleTable(2, 4, table.by_degree[:-1]
@@ -108,8 +126,8 @@ def test_tau_k_poly_counts_ordered_factorizations(irr2):
             _, rem = poly_divrem(f, d)
             if rem.code == 0:
                 divisors += 1
-        assert tau_k_poly(fp, 2) == divisors
-        assert tau_k_poly(fp, 1) == 1
+        assert tau_k(fp, 2) == divisors
+        assert tau_k(fp, 1) == 1
 
 
 def brute_poly_lhs(q, n, k, u, table):
