@@ -131,9 +131,12 @@ def lhs_perm_exact(n: int, k: int, rect):
     """Mean over S_n of the fraction of ordered k-block invariant
     decompositions with |A_i| <= floor(n*u_i) for i < k.
 
-    Evaluated by the closed sum over block sizes m_1, ..., m_(k-1):
-    products of binomials C(m + 1/k - 1, m).  Exact Fraction for
-    n <= 300, double precision beyond (relative error well under 1e-9).
+    Evaluated by the closed sum over block sizes m_1, ..., m_(k-1) of
+    products of the binomials b[m] = C(m + 1/k - 1, m).  The last two
+    block sizes come from one entry of ``_pair_table``, so a k = 3
+    corner costs one dot product.  Exact Fraction for n <= 300, summed
+    in the integers k^n n! b[m]; double precision beyond (relative error
+    well under 1e-9).
     """
     if n < 0 or n > _MAX_N:
         raise DomainError(f"n must lie in [0, {_MAX_N}]")
@@ -149,28 +152,45 @@ def lhs_perm_exact(n: int, k: int, rect):
         raise ResourceError("block-size sum exceeds the term guard")
     exact = n <= _EXACT_MAX_N
     binom = _binom_table(n, k, exact)
+    # the level that ends in a dot: against b itself for k = 2, else
+    # against the pair sums of the last two blocks
+    last, tail = ((0, binom) if k == 2 else
+                  (k - 3, _pair_table(n, k, caps[k - 2], exact)))
 
     def rec(i: int, remaining: int, weight):
-        if i == k - 2:
-            hi = min(caps[i], remaining)
-            rev = binom[remaining - hi: remaining + 1][::-1]
+        hi = min(caps[i], remaining)
+        if i == last:
+            rev = tail[remaining - hi: remaining + 1][::-1]
             return weight * np.dot(binom[: hi + 1], rev)
         total = 0 * weight
-        for m in range(0, min(caps[i], remaining) + 1):
+        for m in range(0, hi + 1):
             total += rec(i + 1, remaining - m, weight * binom[m])
         return total
 
-    total = rec(0, n, Fraction(1) if exact else 1.0)
-    return total if exact else float(total)
+    if not exact:
+        return float(rec(0, n, 1.0))
+    return Fraction(rec(0, n, 1), (k ** n * math.factorial(n)) ** k)
 
 
 @lru_cache(maxsize=64)
 def _binom_table(n: int, k: int, exact: bool) -> np.ndarray:
-    """C(m + 1/k - 1, m) for m = 0..n: Fractions (an object array), or
-    floats."""
-    if exact:
-        return np.array(rising_binoms(Fraction(1, k), n), dtype=object)
-    return np.array(rising_binoms(1.0 / k, n))
+    """C(m + 1/k - 1, m) for m = 0..n: as floats, or times k^n n!, a
+    common multiple of their denominators, as Python integers in an
+    object array."""
+    if not exact:
+        return np.array(rising_binoms(1.0 / k, n))
+    scale = k ** n * math.factorial(n)
+    return np.array([int(b * scale)
+                     for b in rising_binoms(Fraction(1, k), n)], dtype=object)
+
+
+@lru_cache(maxsize=128)
+def _pair_table(n: int, k: int, cap: int, exact: bool) -> np.ndarray:
+    """P[r] = sum of b[m] b[r - m] over m <= min(cap, r), for r = 0..n:
+    the block-size sum of the last two blocks when the first of them
+    holds at most ``cap`` points, on ``_binom_table``'s scale."""
+    binom = _binom_table(n, k, exact)
+    return np.convolve(binom[: cap + 1], binom)[: n + 1]
 
 
 def lhs_perm_brute(n: int, k: int, rect) -> Fraction:

@@ -306,16 +306,33 @@ def exact_lhs_poly(q: int, n: int, k: int, rect, table: IrreducibleTable)\
     k-tuples (D_1, ..., D_k) with product F and deg D_i <= floor(n*u_i)
     for i < k.  Exact rational."""
     caps = [math.floor(n * c) for c in rect_fractions(rect, k)]
-    return _box_mass(_profile_tensors(q, n, k, table), caps) / q ** n
+    return _box_mass(_box_table(_profile_tensors(q, n, k, table)),
+                     caps) / q ** n
 
 
-def _box_mass(tensors, caps) -> Fraction:
-    """Sum over tau of (tuples with deg D_i <= caps[i]) / tau, exactly."""
-    total = Fraction(0)
+def _box_table(tensors) -> tuple[int, list]:
+    """Summed-area tables of the tau tensors, read by ``_box_mass``.
+
+    Returns L = lcm(tau) and, per tau, the pair (L / tau, cumulative
+    sums of its tensor along every axis, taken in place).  Each entry is
+    at most that tensor's total, so int64 holds it; one tensor of all
+    tau weighted by L / tau would not (68 bits at q = 2, n = 20, k = 2).
+    """
+    lcm = math.lcm(*tensors)
+    out = []
     for tau, tensor in tensors.items():
-        block = tensor[tuple(slice(0, c + 1) for c in caps)]
-        total += Fraction(int(block.sum()), tau)
-    return total
+        for axis in range(tensor.ndim):
+            np.cumsum(tensor, axis=axis, out=tensor)
+        out.append((lcm // tau, tensor))
+    return lcm, out
+
+
+def _box_mass(box_table, caps) -> Fraction:
+    """Sum over tau of (tuples with deg D_i <= caps[i]) / tau, exactly:
+    one summed-area entry per tau, in Python integers."""
+    lcm, cums = box_table
+    corner = tuple(caps)
+    return Fraction(sum(w * int(cum[corner]) for w, cum in cums), lcm)
 
 
 def check_enumeration(q: int, n: int, k: int):
@@ -408,16 +425,18 @@ def deviation_poly(q: int, n: int, k: int, grid_step,
                    table: IrreducibleTable) -> DeviationReport:
     """Grid sup of |exact mean - Dir(1/k, ..., 1/k) CDF|.
 
-    One set of tensors serves every grid point; the rate normalization is
-    n^(1/k), matching the expected decay of the deviation.
+    One summed-area table (``_box_table``) serves every grid point, so
+    a corner costs one integer read per tau and one Fraction; the rate
+    normalization is n^(1/k), matching the expected decay of the
+    deviation.
     """
     step = Fraction(grid_step)
-    tensors = _profile_tensors(q, n, k, table)
+    box_table = _box_table(_profile_tensors(q, n, k, table))
     points = rect_grid(k, step)
     alpha = tuple(1.0 / k for _ in range(k))
     return deviation_report(
         "polys", n, k, f"q{q}-uniform", step, points,
-        [float(_box_mass(tensors, [math.floor(n * c) for c in u]) / q ** n)
-         for u in points],
+        [float(_box_mass(box_table, [math.floor(n * c) for c in u])
+               / q ** n) for u in points],
         [cdf(alpha, tuple(float(c) for c in u), 1e-9) for u in points],
         n ** (1.0 / k))

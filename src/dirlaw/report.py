@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,8 +48,15 @@ class DeviationReport:
             yield [float(c) for c in u] + [emp, lim, dev]
 
     def arg_sup(self) -> tuple[Fraction, ...]:
-        best = max(range(len(self.points)), key=lambda i: self.deviation[i])
-        return self.points[best]
+        """The first grid point, in grid order, whose deviation is within
+        a relative 1e-12 of ``sup_dev``.
+
+        Exchangeable corners tie exactly in theory; the tolerance, far
+        above the rounding in the last bits of the floats, keeps that
+        rounding from choosing between them.
+        """
+        return next(u for u, dev in zip(self.points, self.deviation)
+                    if math.isclose(dev, self.sup_dev, rel_tol=1e-12))
 
 
 def rect_grid(k: int, step: Fraction) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dirlaw.arith import rising_binoms
 from dirlaw.errors import DomainError, ResourceError
 from dirlaw.perms import (build_stirling, cycle_types, deviation_perm,
                           lhs_perm_brute, lhs_perm_exact, mean_tau_alpha,
@@ -71,6 +74,60 @@ def test_exact_equals_brute_spot_checks():
             assert lhs_perm_exact(n, 2, u) == lhs_perm_brute(n, 2, u)
         for u in grid3:
             assert lhs_perm_exact(n, 3, u) == lhs_perm_brute(n, 3, u)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 20), st.integers(2, 4), st.data())
+def test_exact_equals_brute_property(n, k, data):
+    u = tuple(Fraction(j, 20) for j in data.draw(
+        st.lists(st.integers(0, 20), min_size=k - 1, max_size=k - 1)))
+    assert lhs_perm_exact(n, k, u) == lhs_perm_brute(n, k, u)
+
+
+def nested_sum(n, k, u, exact):
+    """The block-size sum as plain nested loops: the product of the
+    binomials b[m] = C(m + 1/k - 1, m) over block sizes m_1..m_(k-1)
+    within the caps and the rest m_k = n - sum m_i."""
+    caps = [math.floor(n * c) for c in u]
+    b = rising_binoms(Fraction(1, k) if exact else 1.0 / k, n)
+
+    def rec(i, remaining):
+        if i == k - 1:
+            return b[remaining]
+        total = 0
+        for m in range(min(caps[i], remaining) + 1):
+            total += b[m] * rec(i + 1, remaining - m)
+        return total
+
+    return rec(0, n)
+
+
+F = Fraction
+ORACLE_CORNERS = {
+    2: [(F(1, 3),), (F(1, 2),), (F(1),)],
+    3: [(F(1, 10), F(1, 5)), (F(1, 3), F(1, 2)), (F(0), F(9, 10)),
+        (F(9, 10), F(9, 10))],
+    4: [(F(1, 20), F(1, 10), F(1, 5)), (F(1, 10), F(0), F(1, 10)),
+        (F(1, 50), F(1, 20), F(1))],
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 7, 100, 300])
+def test_exact_matches_nested_sum(n, k):
+    for u in ORACLE_CORNERS[k]:
+        got = lhs_perm_exact(n, k, u)
+        assert isinstance(got, Fraction)
+        assert got == nested_sum(n, k, u, exact=True), (n, k, u)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("n", [301, 1000])
+def test_float_path_matches_nested_sum(n, k):
+    for u in ORACLE_CORNERS[k]:
+        got = lhs_perm_exact(n, k, u)
+        assert isinstance(got, float)
+        assert abs(got - nested_sum(n, k, u, exact=False)) < 1e-13, (n, u)
 
 
 def test_full_box_and_edge_cases():

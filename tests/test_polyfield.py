@@ -11,6 +11,7 @@ from dirlaw.polyfield import (IrreducibleTable, PolyQ, build_irreducibles,
                               deviation_poly, exact_lhs_poly, factor_poly,
                               irreducible_count, poly_divrem, poly_from_code,
                               poly_mul)
+from dirlaw.report import rect_grid
 
 
 def _random_poly(q, deg, rng):
@@ -193,6 +194,35 @@ def test_engine_enumerates_no_polynomial(irr2, monkeypatch):
 def test_full_box_is_one(irr2):
     for n in (1, 4, 7):
         assert exact_lhs_poly(2, n, 2, (Fraction(1),), irr2) == 1
+
+
+def block_sum_box_mass(tensors, caps):
+    """Per tau, the tensor block within the caps summed and divided by
+    tau: the box mass read without a summed-area table."""
+    total = Fraction(0)
+    for tau, tensor in tensors.items():
+        block = tensor[tuple(slice(0, c + 1) for c in caps)]
+        total += Fraction(int(block.sum()), tau)
+    return total
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 12, 3), (3, 8, 2), (2, 12, 4),
+                                   (2, 20, 2)])
+def test_box_table_matches_block_sums(q, n, k):
+    table = build_irreducibles(q, n // 2)
+    tensors = polyfield._profile_tensors(q, n, k, table)
+    corners = {u: [math.floor(n * c) for c in u]
+               for u in rect_grid(k, Fraction(1, 10))}
+    want = {u: block_sum_box_mass(tensors, caps)
+            for u, caps in corners.items()}
+    lcm, cums = box = polyfield._box_table(tensors)
+    for u, caps in corners.items():
+        assert polyfield._box_mass(box, caps) == want[u], (q, n, k, u)
+    # folding every tau into one tensor weighted by lcm / tau would need
+    # the full-box count times lcm, past int64 at q = 2, n = 20
+    folded = sum(w * int(cum[(n,) * (k - 1)]) for w, cum in cums)
+    assert folded == lcm * q ** n
+    assert (folded >= 2 ** 63) == ((q, n, k) == (2, 20, 2))
 
 
 def test_deviation_poly_report(irr2):
