@@ -23,6 +23,12 @@ chunk list, so its bits depend on that list alone; the float
 ``exact_lhs`` sums the in-box weight per n.  ``mc_lhs`` samples from the
 same tables: per prime slot it draws one row with probability G / G_sum.
 Exact mode keeps a per-n recursion over Fractions as the oracle.
+
+The uniform k = 2 histogram skips the walker.  Every divisor pair (d, n)
+has d or n / d at most isqrt(x); along a row with that part fixed, the
+bin of log d / log n only falls or only rises, so ``_k2_run_sums`` finds
+each bin's run of multiples in closed form, checks its ends against the
+per-pair bin rule, and sums 1 / tau(n) over the run from one cumsum.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ _MC_BATCH = 1 << 14        # candidate n per Monte Carlo batch
 # land on the <= side, matching the exact integer comparison d <= floor(n^u).
 _REL_GUARD = 1e-9
 _ABS_GUARD = 1e-12
+_SETTLE_STEPS = 8          # most steps of a k = 2 run end past its estimate
 
 
 @dataclass
@@ -475,35 +482,86 @@ def _accumulate(x: int, k: int, model: WeightModel, bins: int,
 
 
 def _accumulate_uniform_k2(x: int, bins: int, sieve: SpfSieve):
-    """Vector path for the unweighted two-part case.
-
-    Splits divisor pairs (d, n=d*m) by whichever of d, m is small enough
-    to drive a vector op, so the Python-level loop count stays near
-    2*sqrt(x) while numpy handles the ~x log x deposits.
-    """
-    split = math.isqrt(x)
+    """The unweighted two-part case: each divisor pair (d, n) carries
+    1 / tau(n), summed by ``_k2_run_sums``."""
     exponent, cofactor = least_prime_powers(sieve, x)[1:]
     inv_tau = 1.0 / multiplicative_table(exponent + 1.0, cofactor)
-    del exponent, cofactor               # freed before the deposits
+    del exponent, cofactor               # freed before the run sums
+    return _k2_run_sums(x, bins, inv_tau), float(x)
+
+
+def _k2_run_sums(x: int, bins: int, weight: np.ndarray) -> np.ndarray:
+    """Per bin, the sum of weight[n] over the divisor pairs (d, n) with
+    n <= x, each in the ``_cells`` bin of log d / log n (n = 1 in bin 0).
+
+    Every pair has d or m = n / d at most isqrt(x).  Along a row of fixed
+    d the bin falls as n = d t grows; along a row of fixed m, with
+    d > isqrt(x), it rises with d.  So each bin of a row is a run of
+    consecutive items, and its sum is a difference of one cumsum over the
+    row.  The run ends come in closed form and are then stepped until the
+    ``_cells`` rule flips between each end and the next item, so every
+    pair lands in the bin of its own comparison.
+    """
+    split = math.isqrt(x)
+    j = np.arange(1, bins)                    # the run ends between bins
+    # bin <= j - 1 exactly when r <= (j + a) / scale, a = _ABS_GUARD
+    scale = bins * (1.0 - _REL_GUARD)
+    cap = math.log(x) + 1.0                   # exp(cap) lies past every row
     hist = np.zeros(bins)
-    hist[0] += 1.0                       # n = 1 at the origin
-    logn = np.zeros(x + 1)
-    logn[2:] = np.log(np.arange(2, x + 1, dtype=np.float64))
+    hist[0] += weight[1:].sum()               # d = 1, n = 1 included
+    hist[-1] += weight[split + 1:].sum()      # m = 1: d = n > split
+    run = np.zeros(x // 2 + 1)        # run[t]: sum of a row's first t items
 
-    def deposit(d_arr, n_arr):
-        cells = _cells((np.log(d_arr) / logn[n_arr]) * bins, bins)
-        hist[:] += np.bincount(cells, weights=inv_tau[n_arr], minlength=bins)
+    def edges(start, step, ends):
+        """run[ends[i]] over row i, the items weight[start[i]::step[i]]."""
+        out = np.empty(ends.shape)
+        for i, (a, b) in enumerate(zip(start.tolist(), step.tolist())):
+            row = weight[a::b]
+            np.cumsum(row, out=run[1:len(row) + 1])
+            out[i] = run[ends[i]]
+        return out
 
-    for d in range(1, split + 1):
-        n = np.arange(d, x + 1, d)
-        n = n[n >= 2]
-        deposit(np.full(len(n), float(d)), n)
-    # remaining pairs have cofactor m <= x // (split+1) < split + 1
-    for m in range(1, x // (split + 1) + 1):
-        d = np.arange(split + 1, x // m + 1, dtype=np.int64)
-        n = d * m
-        deposit(d.astype(np.float64), n)
-    return hist, float(x)
+    def bin_of(d, n):
+        return _cells(np.log(d.astype(np.float64))
+                      / np.log(n.astype(np.float64)) * bins, bins)
+
+    # rows d = 2..split: items n = d t, t = 1..x // d; the first p have
+    # bin >= j, and n >= d^(scale / (j + a)) has bin <= j - 1
+    d = np.arange(2, split + 1)[:, None]
+    length = x // d
+    p = np.ceil(np.exp(np.minimum(
+        np.log(d) * (scale / (j + _ABS_GUARD) - 1.0), cap))) - 1.0
+    p = _settle(np.clip(p, 0, length).astype(np.int64), length,
+                lambda t: bin_of(d, d * t) >= j)
+    hist -= np.diff(edges(d[:, 0], d[:, 0],
+                          np.hstack([length, p, 0 * length])),
+                    axis=1).sum(axis=0)
+    # rows m = 2..x // (split + 1): items d = split + t, n = m d; the
+    # first p have bin <= j - 1, those with d <= m^(c / (1 - c))
+    m = np.arange(2, x // (split + 1) + 1)[:, None]
+    length = x // m - split
+    c = (j + _ABS_GUARD) / scale
+    p = np.floor(np.exp(np.minimum(np.log(m) * (c / (1.0 - c)), cap))) \
+        - split
+    p = _settle(np.clip(p, 0, length).astype(np.int64), length,
+                lambda t: bin_of(split + t, m * (split + t)) <= j - 1)
+    hist += np.diff(edges(m[:, 0] * (split + 1), m[:, 0],
+                          np.hstack([0 * length, p, length])),
+                    axis=1).sum(axis=0)
+    return hist
+
+
+def _settle(p: np.ndarray, length: np.ndarray, inside) -> np.ndarray:
+    """Step each run end p until items 1..p of its row pass ``inside``
+    and item p + 1 does not; ``inside`` takes item numbers in 1..length
+    and must hold on a prefix of each row."""
+    for _ in range(_SETTLE_STEPS):
+        back = (p > 0) & ~inside(np.maximum(p, 1))
+        ahead = (p < length) & inside(np.minimum(p + 1, length))
+        if not (back.any() or ahead.any()):
+            return p
+        p = p - back + ahead
+    raise IntegrityError("k = 2 run ends did not settle on the bin rule")
 
 
 def sup_deviation(x: int, k: int, model: WeightModel, grid_step,

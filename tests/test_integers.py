@@ -200,14 +200,71 @@ def test_uniform_fast_path_matches_general_walk(sieve_small):
     model = parse_model("uniform", 2)
     x, bins = 3000, 25
     fast = accumulate_histogram(x, 2, model, bins, sieve=sieve_small)
-    slow = accumulate_histogram(x, 2, parse_model("tau-weights:2;1,1"),
+    # the same statistic, 1/tau(n) per divisor pair, through the walker
+    slow = accumulate_histogram(x, 2, parse_model("tau-weights:1;1,1"),
                                 bins, sieve=sieve_small)
-    del slow  # different model; only exercises the general walk
+    assert fast.normalizer == slow.normalizer
+    np.testing.assert_allclose(fast.weights, slow.weights, rtol=0,
+                               atol=1e-15)
+    np.testing.assert_allclose(fast.cum, slow.cum, rtol=0, atol=1e-15)
     for m in range(1, bins + 1):
         u = Fraction(m, bins)
         ex = exact_lhs(x, 2, model, (u,), sieve_small, exact=False)
         assert empirical_cdf(fast, (float(u),)) == pytest.approx(ex,
                                                                  abs=5e-14)
+
+
+def _k2_pair_cells(x, bins):
+    """(cells, n) per row of the divisor pairs (d, n) with 2 <= n <= x,
+    each binned on its own: the per-pair deposit of the k = 2 path
+    before its run sums."""
+    split = math.isqrt(x)
+    logn = np.zeros(x + 1)
+    logn[2:] = np.log(np.arange(2, x + 1, dtype=np.float64))
+    for d in range(1, split + 1):
+        n = np.arange(d, x + 1, d)
+        n = n[n >= 2]
+        d_arr = np.full(len(n), float(d))
+        yield integers._cells((np.log(d_arr) / logn[n]) * bins, bins), n
+    for m in range(1, x // (split + 1) + 1):
+        d = np.arange(split + 1, x // m + 1, dtype=np.int64)
+        n = d * m
+        yield integers._cells((np.log(d.astype(np.float64)) / logn[n])
+                              * bins, bins), n
+
+
+@pytest.mark.parametrize("bins", [2, 3, 7, 10, 20, 25, 50, 100])
+def test_k2_run_sums_count_every_pair_in_its_own_bin(bins):
+    for x in [*range(1, 11), 97, 1000, 100_000]:
+        want = np.zeros(bins)
+        want[0] = 1.0                                   # n = 1
+        for cells, _ in _k2_pair_cells(x, bins):
+            want += np.bincount(cells, minlength=bins)
+        got = integers._k2_run_sums(x, bins, np.ones(x + 1))
+        assert got.tolist() == want.tolist(), (x, bins)
+
+
+@pytest.mark.parametrize("bins", [10, 20])
+def test_k2_run_sums_within_fsum_of_pair_weights(bins):
+    x = 30_000
+    tau = np.zeros(x + 1)
+    for d in range(1, x + 1):
+        tau[d::d] += 1.0
+    weight = np.divide(1.0, tau, out=np.zeros(x + 1), where=tau > 0)
+    cells, n = map(np.concatenate, zip(*_k2_pair_cells(x, bins)))
+    want = [math.fsum([1.0, *weight[n[cells <= b]].tolist()])
+            for b in range(bins)]
+    got = np.cumsum(integers._k2_run_sums(x, bins, weight))
+    assert np.abs(got - want).max() <= 1e-13 * x
+
+
+def test_k2_run_end_far_from_the_rule_raises():
+    # an end 50 items off takes more steps than _settle allows
+    with pytest.raises(IntegrityError):
+        integers._settle(np.array([[0]]), np.array([[100]]),
+                         lambda t: t <= 50)
+    assert integers._settle(np.array([[47]]), np.array([[100]]),
+                            lambda t: t <= 50).tolist() == [[50]]
 
 
 def test_sup_deviation_report_shape(sieve_small):
