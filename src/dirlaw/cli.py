@@ -57,11 +57,15 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise DomainError(f"not a number list: {text!r}")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _scales(text: str) -> tuple[int, ...]:
+    """The scales of a ``converge`` verb, in increasing order."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        scales = sorted(int(tok) for tok in text.split(","))
     except ValueError:
         raise DomainError(f"not an integer list: {text!r}")
+    if len(set(scales)) < len(scales):
+        raise argparse.ArgumentTypeError("scales must not repeat")
+    return tuple(scales)
 
 
 def _complex_list(text: str) -> tuple[complex, ...]:
@@ -227,12 +231,11 @@ def _cmd_integers_mc(args) -> int:
 
 def _cmd_integers_converge(args) -> int:
     model = _model_for(args, args.k)
-    xs = sorted(args.x)
     grid_bins(args.grid)               # domain, before sieving
     rect_grid(model.k, args.grid)
-    sieve = get_spf_sieve(max(xs))
-    reports = convergence_study(xs, model.k, model, args.grid, sieve)
-    params = {"x": list(xs), "k": model.k, "model": args.model,
+    sieve = get_spf_sieve(max(args.x))
+    reports = convergence_study(args.x, model.k, model, args.grid, sieve)
+    params = {"x": list(args.x), "k": model.k, "model": args.model,
               "grid": str(Fraction(args.grid)), "format": args.format,
               "engine": "integers"}
     _emit_reports(reports, args, "converge", params, bins=None)
@@ -274,14 +277,13 @@ def _cmd_polys_run(args) -> int:
 
 
 def _cmd_polys_converge(args) -> int:
-    ns = sorted(args.n)
-    for n in ns:                       # domain, before the table
+    for n in args.n:                   # domain, before the table
         check_enumeration(args.q, n, args.k)
     rect_grid(args.k, args.grid)
-    table = _poly_table(args.q, max(ns))
+    table = _poly_table(args.q, max(args.n))
     reports = [deviation_poly(args.q, n, args.k, args.grid, table)
-               for n in ns]
-    params = {"q": args.q, "n": list(ns), "k": args.k,
+               for n in args.n]
+    params = {"q": args.q, "n": list(args.n), "k": args.k,
               "grid": str(Fraction(args.grid)), "format": args.format,
               "engine": "polys"}
     _emit_reports(reports, args, "converge", params, bins=None)
@@ -301,9 +303,8 @@ def _cmd_perms_brute(args) -> int:
 
 
 def _cmd_perms_converge(args) -> int:
-    ns = sorted(args.n)
-    reports = [deviation_perm(n, args.k, args.grid) for n in ns]
-    params = {"n": list(ns), "k": args.k,
+    reports = [deviation_perm(n, args.k, args.grid) for n in args.n]
+    params = {"n": list(args.n), "k": args.k,
               "grid": str(Fraction(args.grid)), "format": args.format,
               "engine": "perms"}
     _emit_reports(reports, args, "converge", params, bins=None)
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=_cmd_integers_mc)
     p = di.add_parser("converge", help="sup deviation along growing x")
-    p.add_argument("--x", type=_int_list, required=True)
+    p.add_argument("--x", type=_scales, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--model", default="uniform")
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 20))
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_polys_run)
     p = dp.add_parser("converge", help="sup deviation along growing n")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_int_list, required=True)
+    p.add_argument("--n", type=_scales, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 10))
     _add_out_flags(p)
@@ -471,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_fraction_list, required=True)
     p.set_defaults(func=_cmd_perms_brute)
     p = dm.add_parser("converge", help="sup deviation along growing n")
-    p.add_argument("--n", type=_int_list, required=True)
+    p.add_argument("--n", type=_scales, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--grid", type=_fraction, default=Fraction(1, 10))
     _add_out_flags(p)

@@ -18,8 +18,8 @@ walk a run of n at a time with numpy only: split each n into prime-power
 slots by ``least_prime_powers``, drop the n with f(n) = 0, and expand
 the tuples slot by slot (smallest prime first) while accumulating log
 d_j and the G weight.  The histogram deposits with one ``np.bincount``
-per run, in tuple order, into one block of cells per chunk of the fixed
-chunk list, so its bits depend on that list alone; the float
+per chunk of the fixed chunk list, in tuple order, and adds the chunks
+in list order, so its bits depend on that list alone; the float
 ``exact_lhs`` sums the in-box weight per n.  ``mc_lhs`` samples from the
 same tables: per prime slot it draws one row with probability G / G_sum.
 Exact mode keeps a per-n recursion over Fractions as the oracle.
@@ -27,8 +27,8 @@ Exact mode keeps a per-n recursion over Fractions as the oracle.
 The uniform k = 2 histogram skips the walker.  Every divisor pair (d, n)
 has d or n / d at most isqrt(x); along a row with that part fixed, the
 bin of log d / log n only falls or only rises, so ``_k2_run_sums`` finds
-each bin's run of multiples in closed form, checks its ends against the
-per-pair bin rule, and sums 1 / tau(n) over the run from one cumsum.
+each bin's run of multiples by bisection on the per-pair bin rule and
+sums 1 / tau(n) over the run from one cumsum.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ _MERGE_CHUNKS = 256        # fewest chunks of the fixed reduction order
 _CHUNK_N = 512             # most n per chunk beyond 256 chunks
 _PASS_TUPLES = 1 << 12     # tuples per walker pass, roughly
 _MC_BATCH = 1 << 14        # candidate n per Monte Carlo batch
+_MC_SAMPLES = 10 ** 8      # most Monte Carlo samples per estimate
 # Tie guards: d = n^u holds exactly on a measure-zero set but hits every
 # perfect power; comparisons lean a hair toward inclusion so those ties
 # land on the <= side, matching the exact integer comparison d <= floor(n^u).
 _REL_GUARD = 1e-9
 _ABS_GUARD = 1e-12
-_SETTLE_STEPS = 8          # most steps of a k = 2 run end past its estimate
 
 
 @dataclass
@@ -376,7 +376,7 @@ def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
     tables = _LocalTables(model, x, sieve)
     num_terms: list[np.ndarray] = []
     den_terms: list[np.ndarray] = []
-    for chunks in _passes(tables, x, 1):
+    for chunks in _passes(tables, x):
         lv = tables.leaves(chunks[0][0], chunks[-1][1])
         inside = np.ones(len(lv.g), dtype=bool)
         for c, logd in zip(u, lv.logd):
@@ -411,14 +411,12 @@ def _chunk_ranges(x: int):
             if bounds[i] < bounds[i + 1]]
 
 
-def _passes(tables: _LocalTables, x: int,
-            cells: int) -> list[list[tuple[int, int]]]:
+def _passes(tables: _LocalTables, x: int) -> list[list[tuple[int, int]]]:
     """Runs of consecutive chunks that one walker pass expands at once.
 
     A pass still reduces each of its chunks on its own, so the grouping
-    moves no bits; it only sizes the numpy work.  A chunk's share is its
-    tuples plus its own block of ``cells`` output bins; a pass takes
-    about _PASS_TUPLES of that.
+    moves no bits; it only sizes the numpy work: a pass takes about
+    _PASS_TUPLES tuples.
     """
     ranges = _chunk_ranges(x)
     counts = np.add.reduceat(tables.tuple_counts()[1:],
@@ -426,11 +424,11 @@ def _passes(tables: _LocalTables, x: int,
     passes: list[list[tuple[int, int]]] = []
     size = _PASS_TUPLES
     for rng, count in zip(ranges, counts):
-        if size + count + cells > _PASS_TUPLES:
+        if size + count > _PASS_TUPLES:
             passes.append([])
             size = 0
         passes[-1].append(rng)
-        size += count + cells
+        size += count
     return passes
 
 
@@ -459,22 +457,21 @@ def _accumulate(x: int, k: int, model: WeightModel, bins: int,
         tables = _LocalTables(model, x, sieve)
         hist = np.zeros(shape)
         norm = 0.0
-        for chunks in _passes(tables, x, bins ** (k - 1)):
+        for chunks in _passes(tables, x):
             lv = tables.leaves(chunks[0][0], chunks[-1][1])
-            cut = np.searchsorted(lv.n, [hi for _, hi in chunks[:-1]])
             ln_inv = np.divide(1.0, lv.log_n, out=np.zeros_like(lv.log_n),
                                where=lv.log_n > 0.0)[lv.owner]
-            # flat cell index, offset by the chunk's own block of cells
-            cell = np.repeat(np.arange(len(chunks)), np.diff(
-                cut, prepend=0, append=len(lv.n)))[lv.owner]
+            cell = np.zeros(len(lv.owner), dtype=np.int64)
             for logd in lv.logd:
                 cell = cell * bins + _cells(logd * ln_inv * bins, bins)
             weights = lv.g * (lv.f / lv.g_total)[lv.owner]
-            part = np.bincount(cell, weights=weights,
-                               minlength=len(chunks) * bins ** (k - 1))
-            for part_hist, f in zip(part.reshape((len(chunks),) + shape),
-                                    np.split(lv.f, cut)):
-                hist += part_hist                   # fixed chunk order
+            cut = np.searchsorted(lv.n, [hi for _, hi in chunks[:-1]])
+            # owners ascend, so each chunk's tuples are one slice
+            ends = np.searchsorted(lv.owner, cut).tolist()
+            for a, b, f in zip([0, *ends], [*ends, len(cell)],
+                               np.split(lv.f, cut)):   # fixed chunk order
+                part = np.bincount(cell[a:b], weights[a:b], hist.size)
+                hist += part.reshape(shape)
                 norm += math.fsum(f)
     grid = HistogramGrid(k=k, bins_per_dim=bins, weights=hist,
                          normalizer=norm)
@@ -498,70 +495,43 @@ def _k2_run_sums(x: int, bins: int, weight: np.ndarray) -> np.ndarray:
     d the bin falls as n = d t grows; along a row of fixed m, with
     d > isqrt(x), it rises with d.  So each bin of a row is a run of
     consecutive items, and its sum is a difference of one cumsum over the
-    row.  The run ends come in closed form and are then stepped until the
-    ``_cells`` rule flips between each end and the next item, so every
-    pair lands in the bin of its own comparison.
+    row.  A bisection on the ``_cells`` rule itself counts, for every row
+    and edge j at once, the items on the low side of edge j (a falling
+    row numbers its bins from the top), so every pair lands in the bin
+    of its own comparison.
     """
     split = math.isqrt(x)
     j = np.arange(1, bins)                    # the run ends between bins
-    # bin <= j - 1 exactly when r <= (j + a) / scale, a = _ABS_GUARD
-    scale = bins * (1.0 - _REL_GUARD)
-    cap = math.log(x) + 1.0                   # exp(cap) lies past every row
     hist = np.zeros(bins)
     hist[0] += weight[1:].sum()               # d = 1, n = 1 included
     hist[-1] += weight[split + 1:].sum()      # m = 1: d = n > split
     run = np.zeros(x // 2 + 1)        # run[t]: sum of a row's first t items
-
-    def edges(start, step, ends):
-        """run[ends[i]] over row i, the items weight[start[i]::step[i]]."""
-        out = np.empty(ends.shape)
-        for i, (a, b) in enumerate(zip(start.tolist(), step.tolist())):
-            row = weight[a::b]
-            np.cumsum(row, out=run[1:len(row) + 1])
-            out[i] = run[ends[i]]
-        return out
-
-    def bin_of(d, n):
-        return _cells(np.log(d.astype(np.float64))
-                      / np.log(n.astype(np.float64)) * bins, bins)
-
-    # rows d = 2..split: items n = d t, t = 1..x // d; the first p have
-    # bin >= j, and n >= d^(scale / (j + a)) has bin <= j - 1
     d = np.arange(2, split + 1)[:, None]
-    length = x // d
-    p = np.ceil(np.exp(np.minimum(
-        np.log(d) * (scale / (j + _ABS_GUARD) - 1.0), cap))) - 1.0
-    p = _settle(np.clip(p, 0, length).astype(np.int64), length,
-                lambda t: bin_of(d, d * t) >= j)
-    hist -= np.diff(edges(d[:, 0], d[:, 0],
-                          np.hstack([length, p, 0 * length])),
-                    axis=1).sum(axis=0)
-    # rows m = 2..x // (split + 1): items d = split + t, n = m d; the
-    # first p have bin <= j - 1, those with d <= m^(c / (1 - c))
     m = np.arange(2, x // (split + 1) + 1)[:, None]
-    length = x // m - split
-    c = (j + _ABS_GUARD) / scale
-    p = np.floor(np.exp(np.minimum(np.log(m) * (c / (1.0 - c)), cap))) \
-        - split
-    p = _settle(np.clip(p, 0, length).astype(np.int64), length,
-                lambda t: bin_of(split + t, m * (split + t)) <= j - 1)
-    hist += np.diff(edges(m[:, 0] * (split + 1), m[:, 0],
-                          np.hstack([0 * length, p, length])),
-                    axis=1).sum(axis=0)
+    # per family: the rows' first items and strides in ``weight``, their
+    # lengths, item t's (d, n) and whether the bin rises along a row
+    families = [(d, d, x // d, lambda t: (d, d * t), False),
+                (m * (split + 1), m, x // m - split,
+                 lambda t: (split + t, m * (split + t)), True)]
+    for start, step, length, pair, rising in families:
+        p = np.zeros((len(length), bins - 1), dtype=np.int64)
+        for b in reversed(range(int(length.max(initial=0)).bit_length())):
+            t = p + (1 << b)
+            dt, n = pair(np.minimum(t, length))
+            c = _cells(np.log(dt.astype(np.float64))
+                       / np.log(n.astype(np.float64)) * bins, bins)
+            low = (c if rising else bins - 1 - c) <= j - 1
+            p = np.where((t <= length) & low, t, p)
+        ends = np.hstack([0 * length, p, length])
+        cum = np.empty(ends.shape)            # run[ends] per row
+        for i, (a, s) in enumerate(zip(start[:, 0].tolist(),
+                                       step[:, 0].tolist())):
+            row = weight[a::s]
+            np.cumsum(row, out=run[1:len(row) + 1])
+            cum[i] = run[ends[i]]
+        sums = np.diff(cum, axis=1).sum(axis=0)
+        hist += sums if rising else sums[::-1]
     return hist
-
-
-def _settle(p: np.ndarray, length: np.ndarray, inside) -> np.ndarray:
-    """Step each run end p until items 1..p of its row pass ``inside``
-    and item p + 1 does not; ``inside`` takes item numbers in 1..length
-    and must hold on a prefix of each row."""
-    for _ in range(_SETTLE_STEPS):
-        back = (p > 0) & ~inside(np.maximum(p, 1))
-        ahead = (p < length) & inside(np.minimum(p + 1, length))
-        if not (back.any() or ahead.any()):
-            return p
-        p = p - back + ahead
-    raise IntegrityError("k = 2 run ends did not settle on the bin rule")
 
 
 def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
@@ -653,6 +623,8 @@ def mc_corner(k: int, model: WeightModel, rect,
             "f-rejection sampling needs a model with f <= 1")
     if n_samples < 1000:
         raise DomainError("sample count must be at least 1000")
+    if n_samples > _MC_SAMPLES:
+        raise ResourceError("sample count exceeds the 1e8 guard")
     return [float(c) for c in rect_fractions(rect, k)]
 
 

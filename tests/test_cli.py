@@ -137,7 +137,12 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     (("dirichlet", "density", "--alpha", "1e100,1e100", "--t", "0.5,0.5"),
      "every alpha_i must be at most 100000"),
     (("dirichlet", "sample", "--alpha", "1,100001"),
-     "every alpha_i must be at most 100000")])
+     "every alpha_i must be at most 100000"),
+    (("integers", "converge", "--x", "100,100"), "scales must not repeat"),
+    (("polys", "converge", "--q", "2", "--n", "8,8", "--k", "2", "--grid",
+      "1/2"), "scales must not repeat"),
+    (("perms", "converge", "--n", "10,10", "--k", "2", "--grid", "1/2"),
+     "scales must not repeat")])
 def test_out_of_domain_values_exit_2_with_one_error_line(capsys, argv,
                                                          message):
     code, out, err = run(capsys, *argv)
@@ -212,9 +217,13 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
             (("series", "a0", "--p", "2", "--k", "100", "--vmax", "300"),
              "exceeds the 2.5e6 composition recursion guard"),
             (("series", "a0", "--p", "2", "--k", "2", "--vmax", "20000"),
-             "exceeds the 2.5e6 composition recursion guard")]:
+             "exceeds the 2.5e6 composition recursion guard"),
+            (("integers", "mc", "--x", "1000", "--k", "2", "--u", "1/2",
+              "--samples", "100000000000"),
+             "sample count exceeds the 1e8 guard")]:
         code, out, err = run(capsys, *argv)
         assert code == 3 and message in err and not out
+    assert not (tmp_path / "spf_1000.bin").exists()
 
 
 _GRIDS = st.sampled_from(["1/2", "1/3", "1/4", "1/5", "0"])

@@ -185,13 +185,17 @@ def test_tuple_count_table_matches_the_slots(case, x, sieve_small):
     assert not counts[1:][f[1:] == 0].any()
 
 
-@pytest.mark.parametrize("spelling", ["nested", "tau-weights:1;1,2,3"])
-def test_walker_bits_ignore_passes(spelling, sieve_small, monkeypatch):
+@pytest.mark.parametrize("spelling,x,bins", [
+    ("nested", 10_000, 20), ("tau-weights:1;1,2,3", 10_000, 20),
+    ("squarefree", 3000, 100)],       # 100^2 cells exceed _PASS_TUPLES
+    ids=["nested", "tau-weights:1;1,2,3", "squarefree-100-bins"])
+def test_walker_bits_ignore_passes(spelling, x, bins, sieve_small,
+                                   monkeypatch):
     model = parse_model(spelling, 3)
-    base = accumulate_histogram(10_000, 3, model, 20, sieve=sieve_small)
+    base = accumulate_histogram(x, 3, model, bins, sieve=sieve_small)
     for pass_tuples in (1, 1 << 40):    # one chunk per pass; one pass
         monkeypatch.setattr(integers, "_PASS_TUPLES", pass_tuples)
-        other = accumulate_histogram(10_000, 3, model, 20, sieve=sieve_small)
+        other = accumulate_histogram(x, 3, model, bins, sieve=sieve_small)
         assert base.weights.tobytes() == other.weights.tobytes()
         assert base.cum.tobytes() == other.cum.tobytes()
 
@@ -256,15 +260,6 @@ def test_k2_run_sums_within_fsum_of_pair_weights(bins):
             for b in range(bins)]
     got = np.cumsum(integers._k2_run_sums(x, bins, weight))
     assert np.abs(got - want).max() <= 1e-13 * x
-
-
-def test_k2_run_end_far_from_the_rule_raises():
-    # an end 50 items off takes more steps than _settle allows
-    with pytest.raises(IntegrityError):
-        integers._settle(np.array([[0]]), np.array([[100]]),
-                         lambda t: t <= 50)
-    assert integers._settle(np.array([[47]]), np.array([[100]]),
-                            lambda t: t <= 50).tolist() == [[50]]
 
 
 def test_sup_deviation_report_shape(sieve_small):
