@@ -38,12 +38,13 @@ from .series import (a0_local_check, d_direct, d_euler, direct_point,
 
 
 # ---------------------------------------------------------------- parsing
+# argparse types raise ArgumentTypeError, whose message argparse prints
 
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"not a rational number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -54,7 +55,7 @@ def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
     except ValueError:
-        raise DomainError(f"not a number list: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a number list: {text!r}")
 
 
 def _scales(text: str) -> tuple[int, ...]:
@@ -62,7 +63,7 @@ def _scales(text: str) -> tuple[int, ...]:
     try:
         scales = sorted(int(tok) for tok in text.split(","))
     except ValueError:
-        raise DomainError(f"not an integer list: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
     if len(set(scales)) < len(scales):
         raise argparse.ArgumentTypeError("scales must not repeat")
     return tuple(scales)
@@ -74,7 +75,7 @@ def _complex_list(text: str) -> tuple[complex, ...]:
         try:
             out.append(complex(tok.strip()))
         except ValueError:
-            raise DomainError(f"not a number: {tok!r}")
+            raise argparse.ArgumentTypeError(f"not a number: {tok!r}")
     return tuple(out)
 
 

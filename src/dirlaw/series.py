@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 from .arith import (FactoredInteger, SpfSieve, WeightModel, factorize,
                     least_prime_powers, local_g_sum, multiplicative_table,
@@ -99,6 +98,7 @@ def d_direct(s, k: int, n_max: int, sieve: SpfSieve)\
     axes.append(_axis_powers(pt.s[-1], n_max, real_point))
     value = tau_box_sum(axes, sieve)
 
+    from scipy.special import zeta as _zeta  # slow import: load on use
     tail = 0.0
     for j, sig_j in enumerate(pt.sigmas):
         other = 1.0
@@ -267,6 +267,7 @@ def d_euler(s, k: int, prime_max: int, v_max: int)\
     if real_point:
         value = complex(value.real, 0.0)
 
+    from scipy.special import zeta as _zeta  # slow import: load on use
     # primes > prime_max: sum_p -log prod_j (1 - p^-sigma_j) over the
     # missing primes, bounded through Hurwitz zeta with a 1.1 slack
     # that dominates the log-vs-linear gap once p^-sigma <= 1/4

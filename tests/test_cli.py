@@ -2,7 +2,11 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -142,13 +146,32 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     (("polys", "converge", "--q", "2", "--n", "8,8", "--k", "2", "--grid",
       "1/2"), "scales must not repeat"),
     (("perms", "converge", "--n", "10,10", "--k", "2", "--grid", "1/2"),
-     "scales must not repeat")])
+     "scales must not repeat"),
+    (("integers", "converge", "--x", "1a", "--k", "2"),
+     "not an integer list: '1a'"),
+    (("dirichlet", "cdf", "--alpha", "1,x", "--u", "0.5"),
+     "not a number list: '1,x'"),
+    (("perms", "converge", "--n", "10", "--k", "2", "--grid", "1/0"),
+     "not a rational number: '1/0'"),
+    (("series", "direct", "--s", "2,z", "--k", "2"), "not a number: 'z'")])
 def test_out_of_domain_values_exit_2_with_one_error_line(capsys, argv,
                                                          message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out and "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0]
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special is most of the import time; only CDF and zeta calls
+    # load it, so the verbs that make none do not pay for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, dirlaw.cli; print('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

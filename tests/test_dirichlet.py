@@ -4,8 +4,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc
 
+from dirlaw import dirichlet
 from dirlaw.dirichlet import (DirichletParams, RectQuery, cdf, cdf_arcsine,
                               cdf_monte_carlo, density, sample, sample_many,
                               simplex_mass)
@@ -92,6 +95,71 @@ def test_cdf_k4_is_permutation_invariant(u):
     alpha = (0.25,) * 4
     vals = [cdf(alpha, p) for p in itertools.permutations(u)]
     assert max(vals) - min(vals) <= 1e-12
+
+
+@st.composite
+def _k4_corners(draw):
+    """Corners (i, j, l) / 40 with every coordinate >= 1/40, sum <= 1."""
+    i = draw(st.integers(1, 38))
+    j = draw(st.integers(1, 39 - i))
+    return i / 40, j / 40, draw(st.integers(1, 40 - i - j)) / 40
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_k4_corners())
+def test_cdf_k4_exchangeable_on_the_1_40_grid(u):
+    vals = [cdf((0.25,) * 4, p) for p in itertools.permutations(u)]
+    assert max(vals) - min(vals) <= 1e-12
+
+
+def _unskipped(alpha, u, level):
+    """``dirichlet._stick_breaking`` with every outer node recursed on."""
+    m, d = u.shape
+    a, b = alpha[0], math.fsum(alpha[1:])
+    if d == 1:
+        return betainc(a, b, u[:, 0])
+    if d > 2 and m > 1:
+        return np.array([_unskipped(alpha, c[None], level)[0] for c in u])
+    xi, omx, w = dirichlet.nodes(level)
+    u1 = u[:, :1]
+    with np.errstate(divide="ignore", over="ignore"):
+        lg = np.where(xi < 0.5, np.log(xi), np.log1p(-omx))
+        q = -np.expm1(lg / a)
+        omt = (1.0 - u1) + u1 * q
+        inner = np.minimum(1.0, u[:, None, 1:] / omt[:, :, None])
+        face = np.where(omt > 0.0, np.exp(
+            dirichlet._log_norm((a, b)) + a * np.log(u1)
+            + (b - 1.0) * np.log(omt)), 0.0)
+    g = _unskipped(alpha[1:], inner.reshape(-1, d - 1), level)
+    return (face * g.reshape(m, -1)) @ w / a
+
+
+@pytest.mark.parametrize("alpha,u", [
+    ((0.25,) * 4, (0.1, 0.2, 0.3)),
+    ((0.25,) * 4, (0.875, 0.125, 0.0)),
+    ((0.25,) * 4, (0.9, 0.8, 0.7)),            # clipped: sum u_i > 1
+    ((0.02,) * 4, (0.1, 0.2, 0.3)),
+    ((0.02,) * 4, (0.5, 0.25, 0.125)),
+    ((0.2,) * 5, (0.1, 0.2, 0.3, 0.15)),
+    ((0.2,) * 5, (1.0, 1.0, 1.0, 1.0)),        # clipped: the whole simplex
+    ((1000.0,) * 3, (0.3, 0.34)),
+    ((1000.0,) * 3, (0.34, 0.3)),
+    ((3.0, 0.1, 0.1, 5.0), (0.2, 0.3, 0.1)),
+    ((3.0, 0.1, 0.1, 5.0), (0.6, 0.7, 0.5))])  # clipped
+def test_node_skip_matches_the_unskipped_recursion(alpha, u):
+    # a skipped node bounds its own share by 1e-17 / (node count) per depth
+    corner = np.array([u])
+    got = dirichlet._stick_breaking(alpha, corner, 4)
+    want = _unskipped(alpha, corner, 4)
+    assert got.shape == want.shape == (1,)
+    assert abs(got[0] - want[0]) <= 1e-15
+
+
+def test_node_skip_with_no_live_node():
+    # t_1 <= 1e-300 leaves every face * w / a far below the threshold
+    assert 0.0 <= cdf((0.25,) * 4, (1e-300, 0.5, 0.2)) <= 1e-16
+    empty = dirichlet._stick_breaking((0.25,) * 4, np.empty((0, 3)), 4)
+    assert empty.shape == (0,)
 
 
 def test_full_rectangle_has_full_mass():
