@@ -14,8 +14,17 @@ A = sum alpha_i, and (t_2, ..., t_k) / (1 - t_1) ~ Dir(alpha_2, ...,
 alpha_k) independently of t_1.  So F is a 1-D integral over t_1 of the
 (k-2)-coordinate CDF at the conditional corner min(1, u_j / (1 - t_1)),
 down to one coordinate, where F is the regularized incomplete beta
-function.  Each integral substitutes t_1 = u_1 s^(1/alpha_1), which
-absorbs the t^(alpha-1) endpoint singularity exactly, and runs over s in
+function I_x(a, b) of ``_betainc``.  It has two regimes.  For a, b <= 1
+(every Dir(1/k) law) it is the power series x^a / B(a, b) * sum_n e_n x^n,
+e_n = (1 - b)_n / (n! (a + n)), whose terms are all positive, by Horner on
+56 cached coefficients for x <= 1/2 and as 1 - I_(1-x)(b, a) above.
+Otherwise it is the continued fraction of DiDonato & Morris (ACM TOMS 18,
+1992, "Algorithm 708", BFRAC) by the modified Lentz method, below
+x = (a + 1) / (a + b + 2) and for 1 - I_(1-x)(b, a) above; its prefactor
+x^a (1 - x)^b / B(a, b) is formed from a - (a + b) x and Stirling's series,
+so no large logarithms cancel.
+
+Each integral substitutes t_1 = u_1 s^(1/alpha_1), which absorbs the t^(alpha-1) endpoint singularity exactly, and runs over s in
 (0, 1) on the tanh-sinh nodes, whose clustering at s = 1 absorbs the
 (1 - t_1)^(A - alpha_1 - 1) factor when u_1 = 1.
 
@@ -39,7 +48,7 @@ import numpy as np
 
 from .errors import (DomainError, IntegrityError, ResourceError,
                      SingularityError, UnsupportedError)
-from .quadrature import nodes
+from .quadrature import BERNOULLI, nodes
 
 _MAX_CDF_DIMS = 4          # CDF coordinate cap (k - 1)
 _MAX_LEVEL = 6             # finest tanh-sinh level tried by the CDF
@@ -51,6 +60,14 @@ _MAX_ALPHA = 1e5
 # outer nodes whose share bound face * w / a is below _SKIP / (node count)
 # are skipped, so one depth of ``_stick_breaking`` drops at most _SKIP
 _SKIP = 1e-17
+# power series terms: for x <= 1/2 the rest is below 2^-56 / 56 of the first
+_SERIES_TERMS = 56
+# continued-fraction steps: alpha = (1e5, 1e5), the largest allowed, takes
+# at most about 260, at x next to the split point
+_CF_MAX_ITER = 1000
+_CF_TOL = 2.3e-16          # |step - 1|: one ulp above 1 or two below
+_STIRLING_MIN = 8.0        # Stirling's series holds 1e-18 from here up
+_VELTKAMP = 2.0 ** 27 + 1  # splits a double into two 26-bit halves
 
 
 @dataclass(frozen=True)
@@ -142,10 +159,167 @@ def density(params, point) -> float:
 
 
 def cdf_arcsine(u: float) -> float:
-    """Closed form for k=2, alpha=(1/2,1/2): (2/pi) * arcsin(sqrt(u))."""
+    """Closed form for k=2, alpha=(1/2,1/2): (2/pi) * arcsin(sqrt(u)).
+
+    Above u = 1/2 it is 1 - (2/pi) arcsin(sqrt(1 - u)), where 1 - u is
+    exact, so F keeps its full accuracy next to u = 1.
+    """
     if not 0.0 <= u <= 1.0:
         raise DomainError("arcsine CDF argument must lie in [0,1]")
+    if u > 0.5:
+        return 1.0 - 2.0 / math.pi * math.asin(math.sqrt(1.0 - u))
     return 2.0 / math.pi * math.asin(math.sqrt(u))
+
+
+def _betainc(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Regularized incomplete beta function I_x(a, b), x in [0, 1].
+
+    The power series when a, b <= 1, the continued fraction otherwise;
+    in both, x above the split point goes through 1 - I_(1-x)(b, a).
+    """
+    if a <= 1.0 and b <= 1.0:
+        lo = x <= 0.5
+        out = np.empty_like(x)
+        out[lo] = _power_series(a, b, x[lo])
+        out[~lo] = 1.0 - _power_series(b, a, 1.0 - x[~lo])
+        return out
+    y = 1.0 - x
+    lam = _lambda(a, b, x)
+    with np.errstate(divide="ignore", under="ignore"):
+        power = np.exp(_log_power_terms(a, b, lam, np.log(x), np.log1p(-x)))
+        lo = x < (a + 1.0) / (a + b + 2.0)
+        hi = ~lo
+        out = np.empty_like(x)
+        out[lo] = power[lo] / _continued_fraction(a, b, x[lo], y[lo], lam[lo])
+        out[hi] = 1.0 - power[hi] / _continued_fraction(b, a, y[hi], x[hi],
+                                                        -lam[hi])
+    return out
+
+
+@lru_cache(maxsize=64)
+def _series_terms(a: float, b: float) -> tuple[tuple[float, ...], float]:
+    """e_n = (1 - b)_n / (n! (a + n)) from the last n down, and 1 / B(a, b)."""
+    e, rising = [], 1.0
+    for n in range(_SERIES_TERMS):
+        e.append(rising / (a + n))
+        rising *= (n + 1 - b) / (n + 1)
+    return tuple(reversed(e)), math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+
+
+def _power_series(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """I_x(a, b) for a, b <= 1 and x <= 1/2: every e_n is positive."""
+    coeffs, inv_beta = _series_terms(a, b)
+    acc = np.zeros_like(x)
+    for c in coeffs:
+        acc = acc * x + c
+    return x ** a * inv_beta * acc
+
+
+def _lambda(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """a - (a + b) x to within a few ulps of the result, not of a.
+
+    The sum a + b and each product are split into a rounded value and its
+    exact error (Dekker's two-product), so the cancellation next to the
+    mean x = a / (a + b) costs nothing.
+    """
+    s = a + b
+    s_err = (a - (s - (s - a))) + (b - (s - a))
+    p = s * x
+    s_hi = _VELTKAMP * s - (_VELTKAMP * s - s)
+    x_hi = _VELTKAMP * x - (_VELTKAMP * x - x)
+    s_lo, x_lo = s - s_hi, x - x_hi
+    p_err = ((s_hi * x_hi - p) + s_hi * x_lo + s_lo * x_hi) + s_lo * x_lo
+    return (a - p) - p_err - s_err * x
+
+
+def _stirling(z: float) -> float:
+    """lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2."""
+    if z < _STIRLING_MIN:
+        return (math.lgamma(z) - (z - 0.5) * math.log(z) + z
+                - 0.5 * math.log(2.0 * math.pi))
+    acc, r = 0.0, 1.0 / (z * z)
+    for j in range(len(BERNOULLI), 0, -1):
+        acc = acc * r + BERNOULLI[j - 1] / (2 * j * (2 * j - 1))
+    return acc / z
+
+
+def _rlog1(e: np.ndarray) -> np.ndarray:
+    """e - log(1 + e); a series in t = e / (2 + e) where that cancels."""
+    out = e - np.log1p(e)
+    small = np.abs(e) <= 0.25
+    t = e[small] / (2.0 + e[small])
+    t2 = t * t
+    acc = np.zeros_like(t)
+    for j in range(9, -1, -1):            # |t| <= 1/7: t^21 / 21 < 1e-19
+        acc = acc * t2 + 1.0 / (2 * j + 3)
+    out[small] = 2.0 * t2 / (1.0 - t) - 2.0 * t * t2 * acc
+    return out
+
+
+def _log_power_terms(a: float, b: float, lam: np.ndarray, log_x: np.ndarray,
+                     log_y: np.ndarray) -> np.ndarray:
+    """log(x^a y^b / B(a, b)), y = 1 - x, from lam = a - (a + b) x.
+
+    With a, b >= 8 this is (Stirling's series in 1 / B)
+    log sqrt(ab / (2 pi (a + b))) - a rlog1(-lam / a) - b rlog1(lam / b)
+    - (mu(a) + mu(b) - mu(a + b)), mu = ``_stirling``, as in DiDonato &
+    Morris's BRCOMP.
+    Otherwise, with a the smaller, the large logarithms of x^a and of
+    Gamma(b) / Gamma(a + b) cancel in closed form first.
+    """
+    s = a + b
+    if min(a, b) >= _STIRLING_MIN:
+        return (0.5 * math.log(a * b / (2.0 * math.pi * s))
+                - (a * _rlog1(-lam / a) + b * _rlog1(lam / b))
+                - (_stirling(a) + _stirling(b) - _stirling(s)))
+    if a > b:
+        a, b, log_x, log_y = b, a, log_y, log_x
+    return (a * (log_x + math.log(s)) + b * log_y
+            + ((b - 0.5) * math.log1p(a / b) - a)
+            + _stirling(s) - _stirling(b) - math.lgamma(a))
+
+
+def _continued_fraction(a: float, b: float, x: np.ndarray, y: np.ndarray,
+                        lam: np.ndarray) -> np.ndarray:
+    """x^a y^b / (B(a, b) I_x(a, b)), for x below (a + 1) / (a + b + 2).
+
+    DiDonato & Morris's BFRAC continued fraction, evaluated by the
+    modified Lentz method; its first term 1 + lam is where the
+    cancellation of 1 - (a + b) x / (a + 1) would sit.  Elements leave
+    the active set as they converge.
+    """
+    out = np.empty_like(x)
+    idx = np.arange(len(x))
+    c = 1.0 + lam
+    c0, c1 = b / a, 1.0 + 1.0 / a
+    yp1 = y + 1.0
+    f = c / c1
+    big, small = f, np.zeros_like(x)       # Lentz's C and D
+    p, s = 1.0, a + 1.0
+    n = 0
+    while len(idx):
+        n += 1
+        if n > _CF_MAX_ITER:
+            raise IntegrityError(
+                f"incomplete beta continued fraction did not converge in "
+                f"{_CF_MAX_ITER} steps at a = {a:g}, b = {b:g}")
+        t = n / a
+        w = n * (b - n) * x
+        num = (p * (p + c0) * (a / s) ** 2) * (w * x)
+        den = n + w / s + (1.0 + t) / (c1 + t + t) * (c + n * yp1)
+        p, s = 1.0 + t, s + 2.0
+        small = 1.0 / (den + num * small)
+        big = den + num / big
+        step = big * small
+        f = f * step
+        done = np.abs(step - 1.0) <= _CF_TOL
+        if done.any():
+            out[idx[done]] = f[done]
+            keep = ~done
+            idx, x, c, yp1, f, big, small = (v[keep] for v in (
+                idx, x, c, yp1, f, big, small))
+    return out
 
 
 def _stick_breaking(alpha: tuple[float, ...], u: np.ndarray,
@@ -159,8 +333,7 @@ def _stick_breaking(alpha: tuple[float, ...], u: np.ndarray,
     m, d = u.shape
     a, b = alpha[0], math.fsum(alpha[1:])
     if d == 1:
-        from scipy.special import betainc  # slow import: load on use
-        return betainc(a, b, u[:, 0])
+        return _betainc(a, b, u[:, 0])
     if d > 2 and m > 1:
         # m corners of d coordinates bring m * N^(d-1) corners to the base
         # (N nodes per level); taking these one at a time bounds that
@@ -208,9 +381,16 @@ def _cdf_cached(alpha: tuple[float, ...], u: tuple[float, ...],
 def cdf(params, rect, tol: float = 1e-9) -> float:
     """Rectangle CDF F(u_1, ..., u_(k-1)) to absolute accuracy tol.
 
-    Stick-breaking recursion: ``scipy.special.betainc`` for k = 2, and for
-    larger k one tanh-sinh integral per coordinate but the last.  The
-    level is raised from 3 until two levels agree within tol / 2.
+    Stick-breaking recursion: the incomplete beta function for k = 2 (a
+    power series when both alpha_i <= 1, a continued fraction otherwise),
+    and for larger k one tanh-sinh integral per coordinate but the last.
+    The level is raised from 3 until two levels agree within tol / 2.
+    The pairs (u_i, alpha_i), i < k, are put in one order (u ascending,
+    then alpha) first: F_alpha(u) = F_(pi alpha)(pi u) for every order pi,
+    so the corners of one exchangeable class share one cache entry.  The
+    largest u_i goes to the exact incomplete beta function; in an outer
+    integral, a u_i far above the mode of a large alpha_i is where the
+    substitution t = u s^(1/alpha) loses the peak.
     Requires sum u_i <= 1 (the box must not leave the simplex) and
     k - 1 <= 4; tol must lie in [1e-12, 1e-3].
     """
@@ -224,7 +404,9 @@ def cdf(params, rect, tol: float = 1e-9) -> float:
         raise UnsupportedError("CDF supports at most k - 1 = 4 dimensions")
     if not (1e-12 <= tol <= 1e-3):
         raise DomainError("tol must lie in [1e-12, 1e-3]")
-    return _cdf_cached(alpha, u, tol)
+    pairs = sorted(zip(u, alpha))
+    return _cdf_cached(tuple(a for _, a in pairs) + alpha[-1:],
+                       tuple(c for c, _ in pairs), tol)
 
 
 def simplex_mass(params, tol: float = 1e-9) -> float:

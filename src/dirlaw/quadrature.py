@@ -25,6 +25,10 @@ from .errors import IntegrityError
 # trimmed rather than evaluated.
 _T_MAX = 6.5
 _MAX_LEVEL = 10     # finest step h = 2**-_MAX_LEVEL
+# Bernoulli numbers B_2, B_4, ..., B_20: the coefficients of the
+# Euler-Maclaurin formula and of Stirling's series for log Gamma
+BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+             -3617 / 510, 43867 / 798, -174611 / 330)
 
 
 @lru_cache(maxsize=32)

@@ -28,6 +28,7 @@ from .arith import (FactoredInteger, SpfSieve, WeightModel, factorize,
                     least_prime_powers, local_g_sum, multiplicative_table,
                     primes_up_to, smallest_prime_factor)
 from .errors import DomainError, IntegrityError, ResourceError
+from .quadrature import BERNOULLI
 
 _DIRECT_N_MAX = 100_000
 _DIRECT_COST_GUARD = 4 * 10 ** 8    # total elementwise work in the sum
@@ -41,6 +42,7 @@ _A0_MAX_K = 100                     # recursion depth of _comp_count
 # holds them all, since a memo that evicts recomputes without bound.
 _A0_COST_GUARD = 2_500_000
 _A0_MEMO = math.isqrt(_A0_COST_GUARD * _A0_MAX_K)
+_ZETA_HEAD = 16                     # terms _zeta sums before Euler-Maclaurin
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,31 @@ def d_direct(s, k: int, n_max: int, sieve: SpfSieve)\
     axes.append(_axis_powers(pt.s[-1], n_max, real_point))
     value = tau_box_sum(axes, sieve)
 
-    from scipy.special import zeta as _zeta  # slow import: load on use
     tail = 0.0
     for j, sig_j in enumerate(pt.sigmas):
         other = 1.0
         for i, sig_i in enumerate(pt.sigmas):
             if i != j:
-                other *= float(_zeta(sig_i))
-        tail += other * float(_zeta(sig_j, n_max + 1))
+                other *= _zeta(sig_i)
+        tail += other * _zeta(sig_j, n_max + 1)
     return value, tail
+
+
+def _zeta(s: float, q: float = 1.0) -> float:
+    """Hurwitz zeta sum_{n >= 0} (n + q)^-s for real s > 1 and q >= 1.
+
+    Euler-Maclaurin: the first 16 terms by ``math.fsum``, then, at
+    a = q + 16, the integral a^(1-s) / (s - 1), the half term a^-s / 2 and
+    the ten Bernoulli corrections B_2j / (2j)! (s)_(2j-1) a^(1-s-2j).
+    """
+    head = math.fsum((q + n) ** -s for n in range(_ZETA_HEAD))
+    a = q + _ZETA_HEAD
+    rising = s * a ** (-s - 1)              # (s)_1 a^(-s-1)
+    rest = [a ** (1.0 - s) / (s - 1.0), 0.5 * a ** -s]
+    for j, b2j in enumerate(BERNOULLI, 1):
+        rest.append(b2j / math.factorial(2 * j) * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j) / (a * a)
+    return head + math.fsum(rest)
 
 
 def _inv_power(n: int, s: complex, real_point: bool):
@@ -267,20 +285,18 @@ def d_euler(s, k: int, prime_max: int, v_max: int)\
     if real_point:
         value = complex(value.real, 0.0)
 
-    from scipy.special import zeta as _zeta  # slow import: load on use
     # primes > prime_max: sum_p -log prod_j (1 - p^-sigma_j) over the
     # missing primes, bounded through Hurwitz zeta with a 1.1 slack
     # that dominates the log-vs-linear gap once p^-sigma <= 1/4
     if prime_max >= 4:
-        over = 1.1 * sum(float(_zeta(sig, prime_max + 1))
-                         for sig in pt.sigmas)
+        over = 1.1 * sum(_zeta(sig, prime_max + 1) for sig in pt.sigmas)
     else:
         over = sum(-math.log1p(-2.0 ** -sig) * 2 for sig in pt.sigmas) \
-            + 1.1 * sum(float(_zeta(sig, 5)) for sig in pt.sigmas)
+            + 1.1 * sum(_zeta(sig, 5) for sig in pt.sigmas)
     # exponents > v_max anywhere, relative to local >= 1 (real s);
     # Hurwitz from 2 so only n >= 2 terms majorize the prime sum
     b = (1.0 - 2.0 ** -sig_min) ** -(k + 1)
-    vtail = k * b * float(_zeta((v_max + 1) * sig_min, 2))
+    vtail = k * b * _zeta((v_max + 1) * sig_min, 2)
     tail = abs(value) * math.expm1(over + vtail)
     return value, tail
 

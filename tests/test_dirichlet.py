@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
@@ -12,16 +12,88 @@ from dirlaw import dirichlet
 from dirlaw.dirichlet import (DirichletParams, RectQuery, cdf, cdf_arcsine,
                               cdf_monte_carlo, density, sample, sample_many,
                               simplex_mass)
-from dirlaw.errors import DomainError, ResourceError, SingularityError
+from dirlaw.errors import (DomainError, IntegrityError, ResourceError,
+                           SingularityError)
 
 ARCSINE = DirichletParams((0.5, 0.5))
 
 
 def test_arcsine_closed_form():
-    for u in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]:
+    for u in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0, 1 - 2 ** -53]:
         got = cdf(ARCSINE, (u,))
-        assert abs(got - cdf_arcsine(u)) <= 1e-8
+        assert abs(got - cdf_arcsine(u)) <= 1e-15
     assert cdf_arcsine(0.25) == pytest.approx(1 / 3, abs=1e-15)
+    # 1 - (2/pi) asin(sqrt(2^-53)); the form asin(sqrt(u)) is 2.8e-9 off
+    with mpmath.workdps(30):
+        want = 2 / mpmath.pi * mpmath.asin(mpmath.sqrt(1 - mpmath.mpf(2) ** -53))
+    assert abs(cdf_arcsine(1 - 2 ** -53) - float(want)) <= 1e-16
+
+
+def _betainc_reference(a, b, x):
+    """I_x(a, b): scipy's where min(a, b) < 1; for a, b >= 1, mpmath
+    quadrature of the Beta density at 30 digits, split at the mean and at
+    +-1, 3, 10 and 40 standard deviations.  There scipy is off by up to
+    2.1e-12 (a = 2, b = 1e5, x = 2.08e-5) and 2.6e-14 near the mean of
+    (328, 37), against 3e-16 here."""
+    if min(a, b) < 1.0 or x in (0.0, 1.0):
+        return float(betainc(a, b, x))
+    with mpmath.workdps(30):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        log_beta = mpmath.log(mpmath.beta(a, b))
+        mean = a / (a + b)
+        sd = mpmath.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        cuts = [c for c in (mean + z * sd for z in (-40, -10, -3, -1, 0, 1,
+                                                    3, 10, 40)) if 0 < c < 1]
+
+        def density_at(t):
+            return mpmath.exp((a - 1) * mpmath.log(t)
+                              + (b - 1) * mpmath.log1p(-t) - log_beta)
+
+        if x <= mean:
+            return float(mpmath.quad(density_at,
+                                     [0, *(c for c in cuts if c < x), x]))
+        return float(1 - mpmath.quad(density_at,
+                                     [x, *(c for c in cuts if c > x), 1]))
+
+
+@st.composite
+def _beta_points(draw):
+    """a, b log-uniform on [0.02, 1e5]; x uniform, at 0, 1/2 +- ulp and 1,
+    within 8 standard deviations of the mean, or next to the split point
+    (a + 1) / (a + b + 2) of the continued fraction."""
+    a, b = (math.exp(draw(st.floats(math.log(0.02), math.log(1e5))))
+            for _ in range(2))
+    mean = a / (a + b)
+    sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+    x = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 0.5 - 2 ** -54, 0.5, 0.5 + 2 ** -53, 1.0]),
+        st.floats(-8.0, 8.0).map(lambda z: mean + z * sd),
+        st.floats(-1e-3, 1e-3).map(
+            lambda r: (a + 1) / (a + b + 2) * (1 + r))))
+    return a, b, min(max(x, 0.0), 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_beta_points())
+@example((0.25, 0.25, 0.5 - 2 ** -54))
+@example((1 / 3, 1 / 3, 0.5 + 2 ** -53))
+@example((0.25, 0.5, 0.9))
+@example((0.5, 0.5, 0.3))
+@example((1000.0, 1000.0, 0.5016903898621745))
+@example((2.0, 1e5, 2.076324860383728e-05))
+@example((1e5, 3.0, 0.9999595051968685))
+def test_betainc_matches_reference(point):
+    a, b, x = point
+    got = dirichlet._betainc(a, b, np.array([x]))[0]
+    assert 0.0 <= got <= 1.0
+    assert abs(got - _betainc_reference(a, b, x)) <= 1e-14
+
+
+def test_betainc_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(dirichlet, "_CF_MAX_ITER", 5)
+    with pytest.raises(IntegrityError, match="did not converge"):
+        dirichlet._betainc(1e5, 1e5, np.array([0.25, 0.5]))
 
 
 def test_beta_marginal_matches_scipy():
@@ -88,6 +160,18 @@ def test_cdf_large_alpha_matches_beta_mixture(alpha, u):
     assert abs(cdf(alpha, u) - float(want)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha,u,want", [
+    # t_1 <= 0.3 lies 30 sd below the mean 1/3, so F is below 1e-100
+    ((1e5,) * 3, (0.3, 0.34), 0.0),
+    # t_1 <= 0.382 lies 18 sd above the mean: F = P(t_2 <= 0.336) to 1e-70
+    ((1e4,) * 3, (0.382, 0.336), float(betainc(1e4, 2e4, 0.336)))])
+def test_cdf_large_alpha_in_either_order(alpha, u, want):
+    # with the larger u_i in the outer integral, the first corner exits 4
+    # and the second returns 0.0; cdf puts it in the incomplete beta
+    for c in (u, u[::-1]):
+        assert abs(cdf(alpha, c) - want) <= 1e-9
+
+
 @pytest.mark.parametrize("u", [(0.1, 0.2, 0.3), (0.125, 0.375, 0.5),
                                (0.05, 0.25, 0.6)])
 def test_cdf_k4_is_permutation_invariant(u):
@@ -95,6 +179,25 @@ def test_cdf_k4_is_permutation_invariant(u):
     alpha = (0.25,) * 4
     vals = [cdf(alpha, p) for p in itertools.permutations(u)]
     assert max(vals) - min(vals) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,u", [
+    ((0.4, 0.7, 1.9), (0.3, 0.4)),
+    ((3.0, 0.1, 0.1, 5.0), (0.2, 0.3, 0.1)),
+    ((0.25,) * 4, (0.125, 0.5, 0.125))])
+def test_cdf_reorders_pairs_exactly(alpha, u):
+    # F_alpha(u) = F_(pi alpha)(pi u): cdf reorders the pairs (u_i, alpha_i)
+    # by u ascending, then alpha; every order gives the same F
+    want = cdf(alpha, u)
+    for order in itertools.permutations(range(len(u))):
+        a = tuple(alpha[i] for i in order) + alpha[-1:]
+        c = tuple(u[i] for i in order)
+        assert abs(dirichlet._cdf_cached(a, c, 1e-9) - want) <= 1e-12
+    # so the six orders of an exchangeable k = 4 corner share one entry
+    dirichlet._cdf_cached.cache_clear()
+    for p in itertools.permutations((0.1, 0.2, 0.3)):
+        cdf((0.25,) * 4, p)
+    assert dirichlet._cdf_cached.cache_info().currsize == 1
 
 
 @st.composite
