@@ -259,7 +259,7 @@ def _poly_table(q: int, n: int):
 
 def _cmd_polys_exact(args) -> int:
     rect_fractions(args.u, args.k)     # domain, before the table
-    check_enumeration(args.q, args.n, args.k)
+    check_enumeration(args.q, args.n, args.k, exact=True)
     value = exact_lhs_poly(args.q, args.n, args.k, args.u,
                            _poly_table(args.q, args.n))
     print(_fmt_value(value))

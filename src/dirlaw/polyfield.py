@@ -1,7 +1,7 @@
 """Monic polynomials over prime fields F_q: arithmetic, an irreducible
-sieve, factorization, k-part divisor counts, and exact evaluation of the
-mean rectangle statistic over all monic polynomials of a given degree
-from the irreducible counts I_q(d) alone.
+sieve, factorization, and the mean rectangle statistic over all monic
+polynomials of a given degree, from the irreducible counts I_q(d) alone:
+their Euler product evaluated at roots of unity, exactly or in floats.
 
 Polynomials are carried two ways: a PolyQ coefficient tuple for the
 public arithmetic ops, and a base-q integer code (coefficient i at digit
@@ -19,10 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import compositions, smallest_prime_factor
+from .arith import smallest_prime_factor
 from .dirichlet import cdf
 from .errors import DomainError, IntegrityError, ResourceError
-from .perms import CycleType, cycle_types
 from .report import (DeviationReport, deviation_report, rect_fractions,
                      rect_grid)
 
@@ -30,11 +29,12 @@ _MAX_Q = 13
 _TABLE_GUARD = 10 ** 8
 _ENUM_GUARD = 10 ** 7
 _CELL_GUARD = 10 ** 7
-# tensor-cell operations of one _profile_tensors call (_tensor_work).  On
-# a 2-core x86 machine, q = 2: n = 16, k = 4 (2.1e8) takes 0.7 s, n = 2,
-# k = 14 (2.7e8) 0.5 s and n = 1, k = 24 (2.2e8) peaks at 184 MB RSS; the
-# refused n = 9, k = 7 (2.7e10) took 49 s and 325 MB.
-_WORK_GUARD = 3 * 10 ** 8
+# (n + 1)^k series cells times residue rings of one _corner_table call.
+# On a 2-core x86 machine, q = 2, nothing at the guard takes more than
+# 4.9 s or 543 MB peak RSS (n = 1, k = 23, floats); n = 9, k = 7 (1e7
+# cells, floats) takes 2.2 s and 519 MB, n = 23, k = 4 (16 rings, 5.3e6)
+# 1.1 s and 155 MB.
+_SERIES_GUARD = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -269,74 +269,179 @@ def factor_poly(f: PolyQ, table: IrreducibleTable) -> FactoredPoly:
 
 
 # ------------------------------------------------------ mean statistics
+#
+# The statistic sees F only through the degrees and exponents of its
+# irreducible factors, and 1/tau_k is multiplicative, so its generating
+# function is an Euler product over the I_q(d) irreducibles of each
+# degree d:
+#
+#   sum_F (w/q)^deg F / tau_k(F) sum_(D_1...D_k = F) prod_(i<k) y_i^deg D_i
+#       = prod_d L(w^d / q^d; y^d)^I_q(d),
+#   L(w; y) = sum_e w^e h_e(y_1, ..., y_(k-1), 1) / C(e + k - 1, k - 1),
+#
+# h_e the complete homogeneous polynomial.  No divisor degree exceeds n,
+# so evaluating at the (n + 1)-th roots of unity loses nothing, and one
+# inverse DFT of [w^n] recovers the divisor-degree tensor.  A ring is
+# where the arithmetic runs: complex128 (``_Floats``) or int64 residues
+# modulo word primes (``_Residues``), R rings side by side on the last
+# axis, so a ring's scalars are (R,) arrays that broadcast.
+
+
+class _Floats:
+    """complex128, one ring; y runs over exp(-2 pi i j / m)."""
+
+    def __init__(self, m: int):
+        self.omega = np.exp(-2j * np.pi * np.arange(m) / m)[:, None]
+
+    def frac(self, num: int, den: int) -> np.ndarray:
+        # integer true division: a huge q^de does not overflow a float
+        return np.array([num / den])
+
+    def red(self, x):
+        return x
+
+
+class _Residues:
+    """int64 residues modulo primes p = 1 (mod m) below 2^26, one ring
+    per prime; y runs over the powers of a primitive m-th root of unity.
+    A product of two residues stays below 2^52, so a sum of up to 2^11
+    products, more than any n + 1 the guards admit, fits int64 before it
+    is reduced."""
+
+    def __init__(self, m: int, primes: tuple[int, ...]):
+        self.primes = primes
+        self.p = np.array(primes, dtype=np.int64)
+        self.omega = np.array([_roots_of_unity(p, m) for p in primes],
+                              dtype=np.int64).T
+
+    def frac(self, num: int, den: int) -> np.ndarray:
+        return np.array([num % p * pow(den % p, -1, p) % p
+                         for p in self.primes], dtype=np.int64)
+
+    def red(self, x: np.ndarray) -> np.ndarray:
+        return x % self.p
+
+
+def _roots_of_unity(p: int, m: int) -> list[int]:
+    """w^0, ..., w^(m-1) for a primitive m-th root of unity w modulo the
+    prime p = 1 (mod m)."""
+    for g in range(2, p):
+        w = pow(g, (p - 1) // m, p)
+        powers = [pow(w, j, p) for j in range(m)]
+        if powers.count(1) == 1:
+            return powers
+    raise IntegrityError(f"no primitive {m}-th root of unity modulo {p}")
+
 
 @lru_cache(maxsize=64)
-def _cycle_types(m: int) -> tuple[CycleType, ...]:
-    """The partitions of m, built once for every count and tensor."""
-    return tuple(cycle_types(m))
+def _crt_basis(q: int, n: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """D and the primes of ``_Residues`` for ``exact_lhs_poly``.
 
-
-@lru_cache(maxsize=4096)
-def _shifts(d: int, e: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The compositions of e into k parts whose first k - 1 divisor
-    degrees d * comp[i] stay within n."""
-    return tuple(comp for comp in compositions(e, k)
-                 if all(comp[i] * d <= n for i in range(k - 1)))
-
-
-def _spread(tensor: np.ndarray, d: int, e: int, n: int, k: int)\
-        -> np.ndarray:
-    """The divisor-degree tensor after one more factor P^e, deg P = d.
-
-    Each composition of e into k parts hands d * comp[i] degrees to the
-    i-th divisor, shifting axis i < k - 1; the k-th divisor takes the
-    rest.
+    D = q^n prod_(e<=n) C(e + k - 1, k - 1)^floor(n/e) is a multiple of
+    every q^n tau_k(F), so D times a box mass is an integer in [0, D];
+    the primes, taken down from 2^26, have a product above D.
     """
-    out = np.zeros_like(tensor)
-    for comp in _shifts(d, e, n, k):
-        idx = tuple(slice(0, n + 1 - comp[i] * d) for i in range(k - 1))
-        dst = tuple(slice(comp[i] * d, n + 1) for i in range(k - 1))
-        out[dst] += tensor[idx]
-    return out
+    bound = q ** n
+    for e in range(1, n + 1):
+        bound *= math.comb(e + k - 1, k - 1) ** (n // e)
+    m = n + 1
+    primes, product, p = [], 1, ((1 << 26) - 2) // m * m + 1
+    while product <= bound:
+        if p < 1 << 25:
+            raise ResourceError("too few word primes for the exact path")
+        if smallest_prime_factor(p) == p:
+            primes.append(p)
+            product *= p
+        p -= m
+    return bound, tuple(primes)
+
+
+def _corner_table(q: int, n: int, k: int, ring) -> np.ndarray:
+    """Summed-area table of the statistic in each ring of ``ring``.
+
+    Entry [c_1, ..., c_(k-1), r] is the mean over monic F of degree n of
+    the share of ordered k-tuples (D_1, ..., D_k) with product F and
+    deg D_i <= c_i, in ring r (complex in ``_Floats``, with an imaginary
+    part of rounding size).  Every series is one (term, y_1, ...,
+    y_(k-1), ring) array, all grid points at once; no check or guard is
+    made here.
+    """
+    m = n + 1
+    rings = ring.omega.shape[1]
+    # h_e(y_1, ..., y_(k-1), 1), one variable at a time, then L_e
+    series = np.ones((m,) * k + (rings,), dtype=ring.omega.dtype)
+    for i in range(k - 1):
+        y = ring.omega.reshape((1,) * i + (m,) + (1,) * (k - 2 - i)
+                               + (rings,))
+        for e in range(1, m):
+            series[e] = ring.red(series[e] + y * series[e - 1])
+    for e in range(1, m):
+        series[e] = ring.red(
+            series[e] * ring.frac(1, math.comb(e + k - 1, k - 1)))
+    # s G_s for G = log L:  e G_e = e L_e - sum_(s<e) s G_s L_(e-s)
+    sg = np.zeros_like(series)
+    for e in range(1, m):
+        sg[e] = ring.red(series[e] * ring.frac(e, 1)
+                         - ring.red(np.einsum("s...,s...->...", sg[1:e],
+                                              series[e - 1:0:-1])))
+    # s H_s, H_t = sum_(de=t) I_q(d) q^(-t) G_e(y^d): y^d is the grid
+    # point with every index times d, so G_e(y^d) is a gather
+    sh = np.zeros_like(series)
+    for d in range(1, m):
+        power = np.ix_(*[(d * np.arange(m)) % m] * (k - 1))
+        count = irreducible_count(q, d)
+        for e in range(1, n // d + 1):
+            sh[d * e] = ring.red(sh[d * e] + ring.red(
+                sg[e][power] * ring.frac(d * count, q ** (d * e))))
+    del sg
+    # P = exp H:  t P_t = sum_(s<=t) s H_s P_(t-s)
+    series[0] = 1
+    for t in range(1, m):
+        series[t] = ring.red(ring.red(np.einsum(
+            "s...,s...->...", sh[1:t + 1], series[t - 1::-1]))
+            * ring.frac(1, t))
+    # P_n(y) = sum_j T_j y^j, so T_j = (1/m) sum_a P_n(omega^a) omega^-aj:
+    # one (a, j) matrix per axis, then the running sums along it
+    j = np.arange(m)
+    inverse = ring.red(ring.omega[np.outer(j, -j) % m] * ring.frac(1, m))
+    table = series[n]
+    for axis in range(k - 1):
+        table = np.moveaxis(ring.red(np.einsum(
+            "...ar,ajr->...jr", np.moveaxis(table, axis, -2), inverse)),
+            -2, axis)
+        table = ring.red(np.cumsum(table, axis=axis))
+    return table
+
+
+def _check_table(q: int, n: int, table: IrreducibleTable):
+    if table.q != q or table.max_deg < max(n // 2, 1):
+        raise DomainError("table must cover the field up to degree n/2")
 
 
 def exact_lhs_poly(q: int, n: int, k: int, rect, table: IrreducibleTable)\
         -> Fraction:
     """Mean over all monic F of degree n of the fraction of ordered
     k-tuples (D_1, ..., D_k) with product F and deg D_i <= floor(n*u_i)
-    for i < k.  Exact rational."""
-    caps = [math.floor(n * c) for c in rect_fractions(rect, k)]
-    return _box_mass(_box_table(_profile_tensors(q, n, k, table)),
-                     caps) / q ** n
+    for i < k.  Exact rational: ``_corner_table`` in residues modulo
+    the primes of ``_crt_basis``, recombined by the Chinese remainder
+    theorem."""
+    caps = tuple(math.floor(n * c) for c in rect_fractions(rect, k))
+    check_enumeration(q, n, k, exact=True)
+    _check_table(q, n, table)
+    bound, primes = _crt_basis(q, n, k)
+    corner = _corner_table(q, n, k, _Residues(n + 1, primes))[caps]
+    # bound * mass is below the product of the primes: recombine it
+    modulus = math.prod(primes)
+    value = sum(r * bound * (modulus // p) * pow(modulus // p, -1, p)
+                for r, p in zip(corner.tolist(), primes)) % modulus
+    if value > bound:
+        raise IntegrityError("box mass recombined above 1")
+    return Fraction(value, bound)
 
 
-def _box_table(tensors) -> tuple[int, list]:
-    """Summed-area tables of the tau tensors, read by ``_box_mass``.
-
-    Returns L = lcm(tau) and, per tau, the pair (L / tau, cumulative
-    sums of its tensor along every axis, taken in place).  Each entry is
-    at most that tensor's total, so int64 holds it; one tensor of all
-    tau weighted by L / tau would not (68 bits at q = 2, n = 20, k = 2).
-    """
-    lcm = math.lcm(*tensors)
-    out = []
-    for tau, tensor in tensors.items():
-        for axis in range(tensor.ndim):
-            np.cumsum(tensor, axis=axis, out=tensor)
-        out.append((lcm // tau, tensor))
-    return lcm, out
-
-
-def _box_mass(box_table, caps) -> Fraction:
-    """Sum over tau of (tuples with deg D_i <= caps[i]) / tau, exactly:
-    one summed-area entry per tau, in Python integers."""
-    lcm, cums = box_table
-    corner = tuple(caps)
-    return Fraction(sum(w * int(cum[corner]) for w, cum in cums), lcm)
-
-
-def check_enumeration(q: int, n: int, k: int):
-    """The table-free domain and cost checks of ``_profile_tensors``."""
+def check_enumeration(q: int, n: int, k: int, exact: bool = False):
+    """The table-free domain and cost checks of the statistic; ``exact``
+    counts the residue rings of ``exact_lhs_poly`` into the cost."""
     _check_q(q)
     if n < 1 or k < 2:
         raise DomainError("need n >= 1 and k >= 2")
@@ -347,96 +452,29 @@ def check_enumeration(q: int, n: int, k: int):
     if (n + 1) ** min(k - 1, 24) > _CELL_GUARD:
         raise ResourceError("(n + 1)^(k - 1) tensor cells exceed the 1e7 "
                             "guard")
-    if _tensor_work(q, n, k) > _WORK_GUARD:
-        raise ResourceError("tensor-cell operations exceed the 3e8 work "
-                            "guard")
-
-
-def _tensor_work(q: int, n: int, k: int) -> int:
-    """Tensor-cell operations of ``_profile_tensors``, counted without a
-    tensor: each factor P^e makes a new tensor and one shifted add per
-    kept composition, each leaf one scaled add.  A subtree's count
-    depends on (d, rest) alone, so each is counted once."""
-    irr = [0] + [irreducible_count(q, d) for d in range(1, n + 1)]
-
-    @lru_cache(maxsize=None)
-    def rec(d: int, rest: int) -> int:
-        if rest == 0:
-            return 1
-        if d > rest:
-            return 0
-        total = 0
-        for m in range(rest // d + 1):
-            for ct in _cycle_types(m):
-                if math.perm(irr[d], ct.cycle_count):
-                    total += rec(d + 1, rest - m * d) + sum(
-                        mult * (1 + len(_shifts(d, e, n, k)))
-                        for e, mult in ct.partition)
-        return total
-
-    return rec(1, n) * (n + 1) ** (k - 1)
-
-
-def _profile_tensors(q: int, n: int, k: int, table: IrreducibleTable):
-    """tau -> summed divisor-degree tensor over all monic F of degree n.
-
-    Entry [j_1, ..., j_(k-1)] counts pairs of F and an ordered tuple of
-    monic divisors (D_1, ..., D_k) with product F and deg D_i = j_i.
-    Only the (degree, exponent) pairs of F matter, so no polynomial is
-    enumerated: a recursion over d = 1..n takes the exponents of the
-    distinct degree-d factors as a partition of m, placed on the I_q(d)
-    irreducibles in perm(I_q(d), s) / prod(mult!) ways.
-    """
-    check_enumeration(q, n, k)
-    if table.q != q or table.max_deg < max(n // 2, 1):
-        raise DomainError("table must cover the field up to degree n/2")
-    irr = [0] + [irreducible_count(q, d) for d in range(1, n + 1)]
-    out: dict[int, np.ndarray] = {}
-
-    def rec(d: int, rest: int, count: int, tau: int, tensor: np.ndarray):
-        if rest == 0:
-            if tau in out:
-                out[tau] += count * tensor
-            else:
-                out[tau] = count * tensor
-            return
-        if d > rest:
-            return
-        for m in range(rest // d + 1):
-            for ct in _cycle_types(m):
-                ways = math.perm(irr[d], ct.cycle_count)
-                if not ways:
-                    continue
-                t, grown = tau, tensor
-                for e, mult in ct.partition:
-                    ways //= math.factorial(mult)
-                    t *= math.comb(e + k - 1, k - 1) ** mult
-                    for _ in range(mult):
-                        grown = _spread(grown, d, e, n, k)
-                rec(d + 1, rest - m * d, count * ways, t, grown)
-
-    start = np.zeros((n + 1,) * (k - 1), dtype=np.int64)
-    start[(0,) * (k - 1)] = 1
-    rec(1, n, 1, 1, start)
-    return out
+    rings = len(_crt_basis(q, n, k)[1]) if exact else 1
+    if (n + 1) ** k * rings > _SERIES_GUARD:
+        raise ResourceError("(n + 1)^k series cells times residue rings "
+                            "exceed the 1e7 guard")
 
 
 def deviation_poly(q: int, n: int, k: int, grid_step,
                    table: IrreducibleTable) -> DeviationReport:
-    """Grid sup of |exact mean - Dir(1/k, ..., 1/k) CDF|.
+    """Grid sup of |mean - Dir(1/k, ..., 1/k) CDF|.
 
-    One summed-area table (``_box_table``) serves every grid point, so
-    a corner costs one integer read per tau and one Fraction; the rate
+    One complex128 ``_corner_table`` serves every grid point; the limit
+    CDF is taken first, so a k it refuses costs no table.  The rate
     normalization is n^(1/k), matching the expected decay of the
     deviation.
     """
+    check_enumeration(q, n, k)
+    _check_table(q, n, table)
     step = Fraction(grid_step)
-    box_table = _box_table(_profile_tensors(q, n, k, table))
     points = rect_grid(k, step)
     alpha = tuple(1.0 / k for _ in range(k))
+    limits = [cdf(alpha, tuple(float(c) for c in u), 1e-9) for u in points]
+    corners = _corner_table(q, n, k, _Floats(n + 1))[..., 0].real
     return deviation_report(
         "polys", n, k, f"q{q}-uniform", step, points,
-        [float(_box_mass(box_table, [math.floor(n * c) for c in u])
-               / q ** n) for u in points],
-        [cdf(alpha, tuple(float(c) for c in u), 1e-9) for u in points],
-        n ** (1.0 / k))
+        [float(corners[tuple(math.floor(n * c) for c in u)])
+         for u in points], limits, n ** (1.0 / k))

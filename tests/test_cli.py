@@ -245,14 +245,15 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
                   "1/10")]:
         code, _, err = run(capsys, "polys", *argv)
         assert code == 3 and "tensor cells exceed the 1e7 guard" in err
-    # and the tensor work guard, from a count that builds no tensor
+    # and the series-cell guard, times the residue rings of the exact
+    # path, from a count that allocates no array
     for n, k in [(9, 7), (4, 11)]:
         start = time.perf_counter()
         code, _, err = run(capsys, "polys", "exact", "--q", "2", "--n",
                            str(n), "--k", str(k), "--u",
                            ",".join([f"1/{k}"] * (k - 1)))
         assert time.perf_counter() - start < 1.0
-        assert code == 3 and "exceed the 3e8 work guard" in err
+        assert code == 3 and "residue rings exceed the 1e7 guard" in err
     assert not list(tmp_path.glob("irr_*.bin"))
     # guards that refuse work before it starts, without a traceback
     for argv, message in [
@@ -312,7 +313,7 @@ ARGVS = st.one_of(
                                "--vmax", str(v)),
               st.sampled_from([2, 3, 4]), st.integers(0, 1000),
               st.integers(0, 5)),
-    # the deprecated flag, the a0 cost guard and the polys work guard
+    # the deprecated flag, the a0 cost guard and the polys series guard
     st.builds(lambda verb, x, k, t: ("integers", verb, "--x", str(x), "--k",
                                      str(k), "--grid", "1/4", "--threads",
                                      str(t)),

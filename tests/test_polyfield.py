@@ -1,12 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirlaw import polyfield
-from dirlaw.arith import tau_k
-from dirlaw.errors import DomainError, IntegrityError
+from dirlaw.arith import compositions, tau_k
+from dirlaw.errors import DomainError, IntegrityError, ResourceError
+from dirlaw.perms import cycle_types, lhs_perm_exact
 from dirlaw.polyfield import (IrreducibleTable, PolyQ, build_irreducibles,
                               deviation_poly, exact_lhs_poly, factor_poly,
                               irreducible_count, poly_divrem, poly_from_code,
@@ -144,7 +149,6 @@ def brute_poly_lhs(q, n, k, u, table):
                 tuples.append(tuple(exps))
                 return
             _, e = fp.factors[i]
-            from dirlaw.arith import compositions
             for comp in compositions(e, k):
                 splits(i + 1, exps + [comp])
 
@@ -196,33 +200,116 @@ def test_full_box_is_one(irr2):
         assert exact_lhs_poly(2, n, 2, (Fraction(1),), irr2) == 1
 
 
-def block_sum_box_mass(tensors, caps):
-    """Per tau, the tensor block within the caps summed and divided by
-    tau: the box mass read without a summed-area table."""
+@lru_cache(maxsize=4096)
+def _shifts(d, e, n, k):
+    """The compositions of e into k parts whose first k - 1 divisor
+    degrees d * comp[i] stay within n."""
+    return tuple(comp for comp in compositions(e, k)
+                 if all(comp[i] * d <= n for i in range(k - 1)))
+
+
+def _spread(tensor, d, e, n, k):
+    """The divisor-degree tensor after one more factor P^e, deg P = d:
+    each composition of e into k parts hands d * comp[i] degrees to the
+    i-th divisor, shifting axis i < k - 1; the k-th takes the rest."""
+    out = np.zeros_like(tensor)
+    for comp in _shifts(d, e, n, k):
+        idx = tuple(slice(0, n + 1 - comp[i] * d) for i in range(k - 1))
+        dst = tuple(slice(comp[i] * d, n + 1) for i in range(k - 1))
+        out[dst] += tensor[idx]
+    return out
+
+
+def profile_tensors(q, n, k):
+    """tau -> summed divisor-degree tensor over all monic F of degree n.
+
+    Entry [j_1, ..., j_(k-1)] counts pairs of F and an ordered tuple of
+    monic divisors (D_1, ..., D_k) with product F and deg D_i = j_i.  A
+    recursion over d = 1..n takes the exponents of the distinct degree-d
+    factors as a partition of m, placed on the I_q(d) irreducibles in
+    perm(I_q(d), s) / prod(mult!) ways.
+    """
+    irr = [0] + [irreducible_count(q, d) for d in range(1, n + 1)]
+    out = {}
+
+    def rec(d, rest, count, tau, tensor):
+        if rest == 0:
+            out[tau] = out.get(tau, 0) + count * tensor
+            return
+        if d > rest:
+            return
+        for m in range(rest // d + 1):
+            for ct in cycle_types(m):
+                ways = math.perm(irr[d], ct.cycle_count)
+                if not ways:
+                    continue
+                t, grown = tau, tensor
+                for e, mult in ct.partition:
+                    ways //= math.factorial(mult)
+                    t *= math.comb(e + k - 1, k - 1) ** mult
+                    for _ in range(mult):
+                        grown = _spread(grown, d, e, n, k)
+                rec(d + 1, rest - m * d, count * ways, t, grown)
+
+    start = np.zeros((n + 1,) * (k - 1), dtype=np.int64)
+    start[(0,) * (k - 1)] = 1
+    rec(1, n, 1, 1, start)
+    return out
+
+
+def oracle_lhs(q, n, k, tensors, u):
+    """The statistic from the partition recursion: per tau, the tensor
+    block within the caps summed and divided by tau, over q^n."""
+    caps = [math.floor(n * c) for c in u]
     total = Fraction(0)
     for tau, tensor in tensors.items():
         block = tensor[tuple(slice(0, c + 1) for c in caps)]
         total += Fraction(int(block.sum()), tau)
-    return total
+    return total / q ** n
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 12, 3), (3, 8, 2), (2, 12, 4),
                                    (2, 20, 2)])
 def test_box_table_matches_block_sums(q, n, k):
+    # the exact path against the per-tau block sums of the recursion
     table = build_irreducibles(q, n // 2)
-    tensors = polyfield._profile_tensors(q, n, k, table)
-    corners = {u: [math.floor(n * c) for c in u]
-               for u in rect_grid(k, Fraction(1, 10))}
-    want = {u: block_sum_box_mass(tensors, caps)
-            for u, caps in corners.items()}
-    lcm, cums = box = polyfield._box_table(tensors)
-    for u, caps in corners.items():
-        assert polyfield._box_mass(box, caps) == want[u], (q, n, k, u)
-    # folding every tau into one tensor weighted by lcm / tau would need
-    # the full-box count times lcm, past int64 at q = 2, n = 20
-    folded = sum(w * int(cum[(n,) * (k - 1)]) for w, cum in cums)
-    assert folded == lcm * q ** n
-    assert (folded >= 2 ** 63) == ((q, n, k) == (2, 20, 2))
+    tensors = profile_tensors(q, n, k)
+    for u in rect_grid(k, Fraction(1, 10)):
+        assert exact_lhs_poly(q, n, k, u, table) \
+            == oracle_lhs(q, n, k, tensors, u), (q, n, k, u)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(q=st.sampled_from([2, 3, 5, 7]), k=st.integers(2, 4),
+       data=st.data())
+def test_both_rings_match_the_partition_recursion(q, k, data):
+    n = data.draw(st.integers(1, {2: 8, 3: 6, 5: 4, 7: 4}[q]))
+    table = build_irreducibles(q, max(1, n // 2))
+    tensors = profile_tensors(q, n, k)
+    u = data.draw(st.tuples(*[st.fractions(0, 1, max_denominator=12)]
+                            * (k - 1)))
+    exact = exact_lhs_poly(q, n, k, u, table)
+    assert exact == oracle_lhs(q, n, k, tensors, u)
+    floats = polyfield._corner_table(q, n, k, polyfield._Floats(n + 1))
+    caps = tuple(math.floor(n * c) for c in u)
+    assert abs(Fraction(floats[caps + (0,)].real) - exact) <= 1e-15
+    assert exact_lhs_poly(q, n, k, (1,) * (k - 1), table) == 1
+
+
+def test_float_path_tends_to_perms_as_q_grows():
+    # I_q(d) q^-d -> 1/d and every repeated factor weighs O(1/q), so the
+    # statistic tends to the permutation one, with a gap of order 1/q
+    n, k = 60, 2
+    points = rect_grid(k, Fraction(1, 10))
+    perm = [float(lhs_perm_exact(n, k, u)) for u in points]
+    gaps = {}
+    for q in (101, 10007, 1000003):
+        table = polyfield._corner_table(q, n, k, polyfield._Floats(n + 1))
+        gaps[q] = max(abs(table[math.floor(n * u[0]), 0].real - want)
+                      for u, want in zip(points, perm))
+    scaled = [q * gap for q, gap in gaps.items()]
+    assert max(scaled) <= 2 * min(scaled), gaps
+    assert gaps[1000003] < 1e-10
 
 
 def test_deviation_poly_report(irr2):
@@ -242,9 +329,8 @@ def test_poly_domain_errors(irr2):
         PolyQ(3, (1, 5))  # coefficient out of range
     with pytest.raises(DomainError):
         exact_lhs_poly(2, 18, 2, (Fraction(1, 2),), irr2)  # table too small
-    from dirlaw.errors import ResourceError
     with pytest.raises(ResourceError):
         exact_lhs_poly(2, 40, 2, (Fraction(1, 2),),
                        irr2)  # enumeration guard
-    with pytest.raises(ResourceError, match="3e8 work guard"):
+    with pytest.raises(ResourceError, match="residue rings exceed the 1e7"):
         exact_lhs_poly(2, 9, 7, (Fraction(1, 7),) * 6, irr2)
