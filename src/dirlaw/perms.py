@@ -19,13 +19,12 @@ import numpy as np
 
 from .arith import rising_binoms
 from .dirichlet import cdf
-from .errors import DomainError, IntegrityError, ResourceError
+from .errors import DomainError, IntegrityError
 from .report import (DeviationReport, deviation_report, rect_fractions,
                      rect_grid)
 
 _MAX_N = 5000
 _MAX_K = 6
-_TERM_GUARD = 10 ** 8
 _BRUTE_MAX_N = 40
 _EXACT_MAX_N = 300      # above this the binomial path runs in floats
 
@@ -131,10 +130,10 @@ def lhs_perm_exact(n: int, k: int, rect):
     """Mean over S_n of the fraction of ordered k-block invariant
     decompositions with |A_i| <= floor(n*u_i) for i < k.
 
-    Evaluated by the closed sum over block sizes m_1, ..., m_(k-1) of
-    products of the binomials b[m] = C(m + 1/k - 1, m).  The last two
-    block sizes come from one entry of ``_pair_table``, so a k = 3
-    corner costs one dot product.  Exact Fraction for n <= 300, summed
+    It is [z^n] B(z) prod_(i<k) B_(<=c_i)(z): B(z) = (1 - z)^(-1/k) has
+    the block weights b[m] = C(m + 1/k - 1, m) as coefficients, B_(<=c)
+    is B cut after z^c, and every k is one dot against the ``_tail``
+    chain of truncated convolutions.  Exact Fraction for n <= 300, summed
     in the integers k^n n! b[m]; double precision beyond (relative error
     well under 1e-9).
     """
@@ -145,31 +144,14 @@ def lhs_perm_exact(n: int, k: int, rect):
     caps = [math.floor(n * c) for c in rect_fractions(rect, k)]
     if n == 0:
         return Fraction(1)
-    cost = 1
-    for c in caps:
-        cost *= c + 1
-    if cost > _TERM_GUARD:
-        raise ResourceError("block-size sum exceeds the term guard")
     exact = n <= _EXACT_MAX_N
     binom = _binom_table(n, k, exact)
-    # the level that ends in a dot: against b itself for k = 2, else
-    # against the pair sums of the last two blocks
-    last, tail = ((0, binom) if k == 2 else
-                  (k - 3, _pair_table(n, k, caps[k - 2], exact)))
-
-    def rec(i: int, remaining: int, weight):
-        hi = min(caps[i], remaining)
-        if i == last:
-            rev = tail[remaining - hi: remaining + 1][::-1]
-            return weight * np.dot(binom[: hi + 1], rev)
-        total = 0 * weight
-        for m in range(0, hi + 1):
-            total += rec(i + 1, remaining - m, weight * binom[m])
-        return total
-
+    tail = _tail(n, k, tuple(caps[1:]), exact)
+    hi = caps[0]
+    total = np.dot(binom[: hi + 1], tail[n - hi: n + 1][::-1])
     if not exact:
-        return float(rec(0, n, 1.0))
-    return Fraction(rec(0, n, 1), (k ** n * math.factorial(n)) ** k)
+        return float(total)
+    return Fraction(total, (k ** n * math.factorial(n)) ** k)
 
 
 @lru_cache(maxsize=64)
@@ -185,12 +167,33 @@ def _binom_table(n: int, k: int, exact: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _pair_table(n: int, k: int, cap: int, exact: bool) -> np.ndarray:
-    """P[r] = sum of b[m] b[r - m] over m <= min(cap, r), for r = 0..n:
-    the block-size sum of the last two blocks when the first of them
-    holds at most ``cap`` points, on ``_binom_table``'s scale."""
+def _tail(n: int, k: int, caps: tuple[int, ...], exact: bool) -> np.ndarray:
+    """The first n + 1 coefficients of B(z) prod_i B_(<=caps[i])(z) on
+    ``_binom_table``'s scale: the block-size sums of the blocks after the
+    first, the first len(caps) of them capped at ``caps``."""
     binom = _binom_table(n, k, exact)
-    return np.convolve(binom[: cap + 1], binom)[: n + 1]
+    if not caps:
+        return binom
+    convolve = _kronecker if exact else np.convolve
+    return convolve(binom[: caps[0] + 1],
+                    _tail(n, k, caps[1:], exact))[: n + 1]
+
+
+def _kronecker(a, b) -> np.ndarray:
+    """Convolution of two series of nonnegative Python integers by
+    Kronecker substitution: each series is packed into one integer, a
+    slot of whole bytes per coefficient, and the two are multiplied once.
+    A coefficient of the product sums at most len(a) products below
+    2^(bits(max a) + bits(max b)), so with bits(len(a)) more bits a slot
+    never carries."""
+    width = (max(a).bit_length() + max(b).bit_length()
+             + len(a).bit_length() + 7) // 8
+    packed = [int.from_bytes(b"".join(c.to_bytes(width, "little")
+                                      for c in s), "little") for s in (a, b)]
+    raw = (packed[0] * packed[1]).to_bytes(
+        (len(a) + len(b) - 1) * width, "little")
+    return np.array([int.from_bytes(raw[i: i + width], "little")
+                     for i in range(0, len(raw), width)], dtype=object)
 
 
 def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
@@ -232,13 +235,15 @@ def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
 def deviation_perm(n: int, k: int, grid_step) -> DeviationReport:
     """Grid sup of |mean statistic - Dir(1/k, ..., 1/k) CDF|.
 
-    The rate normalization is n^(1/k), the expected deviation decay.
+    The limit CDF is taken first, so a k it refuses evaluates no
+    corner.  The rate normalization is n^(1/k), the expected deviation
+    decay.
     """
     step = Fraction(grid_step)
     points = rect_grid(k, step)
     alpha = tuple(1.0 / k for _ in range(k))
+    limits = [cdf(alpha, tuple(float(c) for c in u), 1e-9) for u in points]
     return deviation_report(
         "perms", n, k, "uniform", step, points,
-        [float(lhs_perm_exact(n, k, u)) for u in points],
-        [cdf(alpha, tuple(float(c) for c in u), 1e-9) for u in points],
+        [float(lhs_perm_exact(n, k, u)) for u in points], limits,
         n ** (1.0 / k))

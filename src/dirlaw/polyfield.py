@@ -413,6 +413,14 @@ def _corner_table(q: int, n: int, k: int, ring) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=2)
+def _residue_table(q: int, n: int, k: int) -> np.ndarray:
+    """``_corner_table`` in the residue rings of ``_crt_basis``, kept so
+    that a grid of exact corners builds it once.  Under the series guard
+    one table holds up to 1e7 / (n + 1) int64 cells, so few are kept."""
+    return _corner_table(q, n, k, _Residues(n + 1, _crt_basis(q, n, k)[1]))
+
+
 def _check_table(q: int, n: int, table: IrreducibleTable):
     if table.q != q or table.max_deg < max(n // 2, 1):
         raise DomainError("table must cover the field up to degree n/2")
@@ -422,14 +430,13 @@ def exact_lhs_poly(q: int, n: int, k: int, rect, table: IrreducibleTable)\
         -> Fraction:
     """Mean over all monic F of degree n of the fraction of ordered
     k-tuples (D_1, ..., D_k) with product F and deg D_i <= floor(n*u_i)
-    for i < k.  Exact rational: ``_corner_table`` in residues modulo
-    the primes of ``_crt_basis``, recombined by the Chinese remainder
-    theorem."""
+    for i < k.  Exact rational: one corner of ``_residue_table``,
+    recombined by the Chinese remainder theorem."""
     caps = tuple(math.floor(n * c) for c in rect_fractions(rect, k))
     check_enumeration(q, n, k, exact=True)
     _check_table(q, n, table)
     bound, primes = _crt_basis(q, n, k)
-    corner = _corner_table(q, n, k, _Residues(n + 1, primes))[caps]
+    corner = _residue_table(q, n, k)[caps]
     # bound * mass is below the product of the primes: recombine it
     modulus = math.prod(primes)
     value = sum(r * bound * (modulus // p) * pow(modulus // p, -1, p)
