@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .arith import BUILTIN_MODELS, WeightModel, parse_model
-from .caches import get_irreducibles, get_spf_sieve
+# get_irreducibles is unused: perfbench/tracer.py wraps it (test_tracer.py)
+from .caches import get_irreducibles, get_spf_sieve  # noqa: F401
 from .dirichlet import cdf, density, sample_many
 from .errors import (DomainError, IntegrityError, ResourceError,
                      SingularityError, UnsupportedError)
@@ -30,7 +31,7 @@ from .integers import (box_floors, convergence_study, exact_lhs,
                        grid_bins, mc_corner, mc_lhs, sup_deviation,
                        weighted_sum_S)
 from .perms import deviation_perm, lhs_perm_brute, lhs_perm_exact
-from .polyfield import check_enumeration, deviation_poly, exact_lhs_poly
+from .polyfield import check_statistic, deviation_poly, exact_lhs_poly
 from .report import (DeviationReport, convergence_csv, fmt,
                      rect_fractions, rect_grid, report_csv)
 from .series import (a0_local_check, d_direct, d_euler, direct_point,
@@ -253,24 +254,13 @@ def _cmd_integers_boxsum(args) -> int:
 
 # ----------------------------------------------------------------- polys
 
-def _poly_table(q: int, n: int):
-    return get_irreducibles(q, max(1, n // 2))
-
-
 def _cmd_polys_exact(args) -> int:
-    rect_fractions(args.u, args.k)     # domain, before the table
-    check_enumeration(args.q, args.n, args.k, exact=True)
-    value = exact_lhs_poly(args.q, args.n, args.k, args.u,
-                           _poly_table(args.q, args.n))
-    print(_fmt_value(value))
+    print(_fmt_value(exact_lhs_poly(args.q, args.n, args.k, args.u)))
     return 0
 
 
 def _cmd_polys_run(args) -> int:
-    check_enumeration(args.q, args.n, args.k)  # before the table
-    rect_grid(args.k, args.grid)
-    report = deviation_poly(args.q, args.n, args.k, args.grid,
-                            _poly_table(args.q, args.n))
+    report = deviation_poly(args.q, args.n, args.k, args.grid)
     params = {"q": args.q, "n": args.n, "k": args.k,
               "grid": str(Fraction(args.grid)), "format": args.format}
     _emit_reports([report], args, "polys", params, bins=None)
@@ -278,12 +268,9 @@ def _cmd_polys_run(args) -> int:
 
 
 def _cmd_polys_converge(args) -> int:
-    for n in args.n:                   # domain, before the table
-        check_enumeration(args.q, n, args.k)
-    rect_grid(args.k, args.grid)
-    table = _poly_table(args.q, max(args.n))
-    reports = [deviation_poly(args.q, n, args.k, args.grid, table)
-               for n in args.n]
+    for n in args.n:                   # every n, before the first table
+        check_statistic(args.q, n, args.k)
+    reports = [deviation_poly(args.q, n, args.k, args.grid) for n in args.n]
     params = {"q": args.q, "n": list(args.n), "k": args.k,
               "grid": str(Fraction(args.grid)), "format": args.format,
               "engine": "polys"}

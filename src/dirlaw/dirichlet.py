@@ -362,6 +362,23 @@ def _stick_breaking(alpha: tuple[float, ...], u: np.ndarray,
     return (face * g) @ w / a
 
 
+def _check_frechet(alpha: tuple[float, ...], u: tuple[float, ...],
+                   val: float, tol: float):
+    """Refuse a CDF outside the Frechet bounds of its marginals F_i =
+    I_(u_i)(alpha_i, A - alpha_i), max(0, 1 - sum(1 - F_i)) <= F <=
+    min F_i: two levels that both miss the peak of the density agree on a
+    wrong value.  One ``_betainc`` call per distinct alpha_i."""
+    coords, shares = np.array(u), np.array(alpha[:len(u)])
+    marginal = np.empty_like(coords)
+    for a in set(alpha[:len(u)]):
+        marginal[shares == a] = _betainc(a, math.fsum(alpha) - a,
+                                          coords[shares == a])
+    lo, hi = max(0.0, 1.0 - math.fsum(1.0 - marginal)), marginal.min()
+    if not lo - tol <= val <= hi + tol:
+        raise IntegrityError(f"CDF {val:g} leaves its Frechet bounds "
+                             f"[{lo:g}, {hi:g}] by more than {tol:g}")
+
+
 @lru_cache(maxsize=200_000)
 def _cdf_cached(alpha: tuple[float, ...], u: tuple[float, ...],
                 tol: float) -> float:
@@ -372,6 +389,8 @@ def _cdf_cached(alpha: tuple[float, ...], u: tuple[float, ...],
     for level in range(3, _MAX_LEVEL + 1):
         val = float(_stick_breaking(alpha, corner, level)[0])
         if prev is not None and abs(val - prev) <= max(0.5 * tol, 4e-16):
+            if len(u) > 1:
+                _check_frechet(alpha, u, val, tol)
             return min(val, 1.0) if val > 1.0 and val - 1.0 < tol else val
         prev = val
     raise IntegrityError(

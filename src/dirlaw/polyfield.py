@@ -1,7 +1,7 @@
 """Monic polynomials over prime fields F_q: arithmetic, an irreducible
-sieve, factorization, and the mean rectangle statistic over all monic
-polynomials of a given degree, from the irreducible counts I_q(d) alone:
-their Euler product evaluated at roots of unity, exactly or in floats.
+sieve (q <= 13), factorization, and the mean rectangle statistic over all
+monic polynomials of a given degree for any prime q, from the counts
+I_q(d) alone: their Euler product at roots of unity, exactly or in floats.
 
 Polynomials are carried two ways: a PolyQ coefficient tuple for the
 public arithmetic ops, and a base-q integer code (coefficient i at digit
@@ -19,22 +19,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import smallest_prime_factor
+from .arith import primes_up_to, smallest_prime_factor
 from .dirichlet import cdf
 from .errors import DomainError, IntegrityError, ResourceError
 from .report import (DeviationReport, deviation_report, rect_fractions,
                      rect_grid)
 
-_MAX_Q = 13
+_MAX_Q = 13            # the irreducible sieve's int16 digit sums need it
 _TABLE_GUARD = 10 ** 8
-_ENUM_GUARD = 10 ** 7
-_CELL_GUARD = 10 ** 7
-# (n + 1)^k series cells times residue rings of one _corner_table call.
-# On a 2-core x86 machine, q = 2, nothing at the guard takes more than
-# 4.9 s or 543 MB peak RSS (n = 1, k = 23, floats); n = 9, k = 7 (1e7
-# cells, floats) takes 2.2 s and 519 MB, n = 23, k = 4 (16 rings, 5.3e6)
-# 1.1 s and 155 MB.
-_SERIES_GUARD = 10 ** 7
+# The work of one _corner_table call: (n + 1)^k series cells times its
+# residue rings (1 in floats), swept n times by the log and exp recurrences
+# and about 8k times by the h_e build, the DFT and the running sums.  The
+# slowest at the edge of the guard (2 cores, q in {2, 10007}, every k):
+# floats n = 50, k = 4 in 2.1-3.3 s and 345 MB peak RSS, and n = 23, k = 5
+# in 1.5-2.2 s and 406 MB; residues q = 2, n = 15, k = 5 (10 rings) in
+# 2.0-2.6 s and 281 MB.
+_WORK_GUARD = 6 * 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class PolyQ:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.q < 2 or smallest_prime_factor(self.q) != self.q:
-            raise DomainError("q must be a prime")
+        _check_prime(self.q)
         if any(c < 0 or c >= self.q for c in self.coeffs):
             raise DomainError("coefficients must lie in [0, q)")
         if self.coeffs and self.coeffs[-1] == 0:
@@ -115,10 +114,7 @@ class IrreducibleTable:
         return self
 
 
-def _check_q(q: int):
-    """The field size every table and enumeration accepts."""
-    if q > _MAX_Q:
-        raise ResourceError(f"q must be at most {_MAX_Q}")
+def _check_prime(q: int):
     if q < 2 or smallest_prime_factor(q) != q:
         raise DomainError("q must be a prime")
 
@@ -192,7 +188,9 @@ def build_irreducibles(q: int, max_deg: int) -> IrreducibleTable:
     Composite monic codes are exactly the products P*G with P irreducible
     of degree <= deg/2; the sieve marks those ascending by P.
     """
-    _check_q(q)
+    if q > _MAX_Q:
+        raise ResourceError(f"q must be at most {_MAX_Q}")
+    _check_prime(q)
     if max_deg < 1 or q ** max_deg > _TABLE_GUARD:
         raise ResourceError("q^max_deg exceeds the table guard")
     sif = _factor_sieve(q, max_deg)
@@ -339,17 +337,18 @@ def _crt_basis(q: int, n: int, k: int) -> tuple[int, tuple[int, ...]]:
 
     D = q^n prod_(e<=n) C(e + k - 1, k - 1)^floor(n/e) is a multiple of
     every q^n tau_k(F), so D times a box mass is an integer in [0, D];
-    the primes, taken down from 2^26, have a product above D.
+    the primes, taken down from 2^26, have a product above D; they skip
+    q, the one prime above n + k that divides a denominator.
     """
     bound = q ** n
     for e in range(1, n + 1):
         bound *= math.comb(e + k - 1, k - 1) ** (n // e)
-    m = n + 1
+    m, divisors = n + 1, np.array(primes_up_to(1 << 13))
     primes, product, p = [], 1, ((1 << 26) - 2) // m * m + 1
     while product <= bound:
         if p < 1 << 25:
             raise ResourceError("too few word primes for the exact path")
-        if smallest_prime_factor(p) == p:
+        if p != q and (p % divisors).all():     # no factor below 2^13
             primes.append(p)
             product *= p
         p -= m
@@ -416,25 +415,37 @@ def _corner_table(q: int, n: int, k: int, ring) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _residue_table(q: int, n: int, k: int) -> np.ndarray:
     """``_corner_table`` in the residue rings of ``_crt_basis``, kept so
-    that a grid of exact corners builds it once.  Under the series guard
-    one table holds up to 1e7 / (n + 1) int64 cells, so few are kept."""
+    that a grid of exact corners builds it once.  Under the work guard
+    one table holds under 6e8 / (n + 1)^2 int64 cells, so few are kept."""
     return _corner_table(q, n, k, _Residues(n + 1, _crt_basis(q, n, k)[1]))
 
 
-def _check_table(q: int, n: int, table: IrreducibleTable):
-    if table.q != q or table.max_deg < max(n // 2, 1):
-        raise DomainError("table must cover the field up to degree n/2")
+def check_statistic(q: int, n: int, k: int, exact: bool = False):
+    """The domain and work checks of the statistic.  ``exact`` also
+    counts the residue rings of ``exact_lhs_poly``, once the float count
+    has bounded n, so a huge n builds no CRT basis."""
+    _check_prime(q)
+    if n < 1 or k < 2:
+        raise DomainError("need n >= 1 and k >= 2")
+    # n + 1 >= 2 and 2^30 > 6e8, so capping n and k keeps each verdict
+    # but not the cost of a huge power
+    n_, k_ = min(n, _WORK_GUARD), min(k, 30)
+    work = (n_ + 8 * k_) * (n_ + 1) ** k_
+    if work > _WORK_GUARD or exact and \
+            work * len(_crt_basis(q, n, k)[1]) > _WORK_GUARD:
+        raise ResourceError("(n + 8k)(n + 1)^k times residue rings exceeds "
+                            "the 6e8 work guard")
 
 
-def exact_lhs_poly(q: int, n: int, k: int, rect, table: IrreducibleTable)\
-        -> Fraction:
+def exact_lhs_poly(q: int, n: int, k: int, rect,
+                   table: IrreducibleTable | None = None) -> Fraction:
     """Mean over all monic F of degree n of the fraction of ordered
     k-tuples (D_1, ..., D_k) with product F and deg D_i <= floor(n*u_i)
     for i < k.  Exact rational: one corner of ``_residue_table``,
-    recombined by the Chinese remainder theorem."""
+    recombined by the Chinese remainder theorem.  ``table`` is accepted
+    and not read: the statistic needs only the counts I_q(d)."""
     caps = tuple(math.floor(n * c) for c in rect_fractions(rect, k))
-    check_enumeration(q, n, k, exact=True)
-    _check_table(q, n, table)
+    check_statistic(q, n, k, exact=True)
     bound, primes = _crt_basis(q, n, k)
     corner = _residue_table(q, n, k)[caps]
     # bound * mass is below the product of the primes: recombine it
@@ -446,36 +457,16 @@ def exact_lhs_poly(q: int, n: int, k: int, rect, table: IrreducibleTable)\
     return Fraction(value, bound)
 
 
-def check_enumeration(q: int, n: int, k: int, exact: bool = False):
-    """The table-free domain and cost checks of the statistic; ``exact``
-    counts the residue rings of ``exact_lhs_poly`` into the cost."""
-    _check_q(q)
-    if n < 1 or k < 2:
-        raise DomainError("need n >= 1 and k >= 2")
-    # both bases are >= 2 and 2^24 > 1e7, so capping the exponents at 24
-    # keeps each verdict but not the cost of a huge power
-    if q ** min(n, 24) > _ENUM_GUARD:
-        raise ResourceError("q^n exceeds the enumeration guard")
-    if (n + 1) ** min(k - 1, 24) > _CELL_GUARD:
-        raise ResourceError("(n + 1)^(k - 1) tensor cells exceed the 1e7 "
-                            "guard")
-    rings = len(_crt_basis(q, n, k)[1]) if exact else 1
-    if (n + 1) ** k * rings > _SERIES_GUARD:
-        raise ResourceError("(n + 1)^k series cells times residue rings "
-                            "exceed the 1e7 guard")
-
-
 def deviation_poly(q: int, n: int, k: int, grid_step,
-                   table: IrreducibleTable) -> DeviationReport:
+                   table: IrreducibleTable | None = None) -> DeviationReport:
     """Grid sup of |mean - Dir(1/k, ..., 1/k) CDF|.
 
     One complex128 ``_corner_table`` serves every grid point; the limit
     CDF is taken first, so a k it refuses costs no table.  The rate
     normalization is n^(1/k), matching the expected decay of the
-    deviation.
+    deviation.  ``table`` is accepted and not read.
     """
-    check_enumeration(q, n, k)
-    _check_table(q, n, table)
+    check_statistic(q, n, k)
     step = Fraction(grid_step)
     points = rect_grid(k, step)
     alpha = tuple(1.0 / k for _ in range(k))

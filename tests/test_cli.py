@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirlaw import cli
+from dirlaw import cli, polyfield
 from dirlaw.cli import main
 
 
@@ -48,6 +49,15 @@ def test_polys_exact_example(capsys):
     code, out, _ = run(capsys, "polys", "exact", "--q", "2", "--n", "2",
                        "--k", "2", "--u", "0.5")
     assert code == 0 and out.strip() == "31/48"
+    # any prime q: (15 q + 1) / (24 q) at n = 2; 67108837 is also the first
+    # word prime the exact path scans for n = 2, and is skipped there
+    for q in (17, 67108837):
+        code, out, err = run(capsys, "polys", "exact", "--q", str(q), "--n",
+                             "2", "--k", "2", "--u", "1/2")
+        assert code == 0 and Fraction(out.strip()) \
+            == Fraction(15 * q + 1, 24 * q), err
+        floats = polyfield._corner_table(q, 2, 2, polyfield._Floats(3))
+        assert abs(float(Fraction(out.strip())) - floats[1, 0].real) <= 1e-15
 
 
 def test_perms_brute_matches_exact(capsys):
@@ -223,37 +233,35 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "integers", "run", "--x", "200000000",
                        "--k", "2")
     assert code == 3 and "error" in err
-    code, _, err = run(capsys, "polys", "exact", "--q", "17", "--n", "2",
-                       "--k", "2", "--u", "0.5")
-    assert code == 3 and "error" in err
     # the volume guard fires before a sieve is built or cached
     code, _, err = run(capsys, "integers", "boxsum", "--x",
                        "20000,20000,20000", "--k", "3")
     assert code == 3 and "box volume exceeds the 1e8 guard" in err
     assert not (tmp_path / "spf_20000.bin").exists()
-    # so does the enumeration guard before an irreducible table
-    for argv in [("exact", "--q", "3", "--n", "20", "--k", "2", "--u", "1/2"),
-                 ("exact", "--q", "3", "--n", "30000000", "--k", "2", "--u",
-                  "1/2"),     # refused without computing 3^(3e7)
-                 ("converge", "--q", "2", "--n", "24,26", "--k", "2")]:
-        code, _, err = run(capsys, "polys", *argv)
-        assert code == 3 and "q^n exceeds the enumeration guard" in err
-    # and the tensor-cell guard on k
-    for argv in [("exact", "--q", "2", "--n", "12", "--k", "30", "--u",
+    # the polys work guard, counted before any array, refuses within 1 s:
+    # on the float count, before _crt_basis would compute 3^(3e7), on k,
+    # and on the residue rings: 159 at (2, 200, 2), 2299 at
+    # (999999999989, 837, 2)
+    for argv in [("exact", "--q", "3", "--n", "30000000", "--k", "2", "--u",
+                  "1/2"),
+                 ("run", "--q", "2", "--n", "2000", "--k", "2"),
+                 ("converge", "--q", "2", "--n", "24,2000", "--k", "2"),
+                 ("exact", "--q", "2", "--n", "12", "--k", "30", "--u",
                   ",".join(["1/40"] * 29)),
                  ("run", "--q", "2", "--n", "4", "--k", "12", "--grid",
-                  "1/10")]:
-        code, _, err = run(capsys, "polys", *argv)
-        assert code == 3 and "tensor cells exceed the 1e7 guard" in err
-    # and the series-cell guard, times the residue rings of the exact
-    # path, from a count that allocates no array
-    for n, k in [(9, 7), (4, 11)]:
+                  "1/10"),
+                 ("exact", "--q", "2", "--n", "9", "--k", "7", "--u",
+                  ",".join(["1/7"] * 6)),
+                 ("exact", "--q", "2", "--n", "4", "--k", "11", "--u",
+                  ",".join(["1/11"] * 10)),
+                 ("exact", "--q", "2", "--n", "200", "--k", "2", "--u",
+                  "1/2"),
+                 ("exact", "--q", "999999999989", "--n", "837", "--k", "2",
+                  "--u", "1/2")]:
         start = time.perf_counter()
-        code, _, err = run(capsys, "polys", "exact", "--q", "2", "--n",
-                           str(n), "--k", str(k), "--u",
-                           ",".join([f"1/{k}"] * (k - 1)))
+        code, out, err = run(capsys, "polys", *argv)
         assert time.perf_counter() - start < 1.0
-        assert code == 3 and "residue rings exceed the 1e7 guard" in err
+        assert code == 3 and "exceeds the 6e8 work guard" in err and not out
     assert not list(tmp_path.glob("irr_*.bin"))
     # guards that refuse work before it starts, without a traceback
     for argv, message in [
@@ -279,7 +287,7 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
 
 _GRIDS = st.sampled_from(["1/2", "1/3", "1/4", "1/5", "0"])
 _SCALES = st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True)
-# polys k: small tensors, or k - 1 >= 25 so that (n + 1)^(k - 1) > 1e7
+# polys k: small, or k >= 26, which the work guard refuses at every n
 _POLY_K = st.one_of(st.integers(1, 5), st.integers(26, 40))
 
 
@@ -304,8 +312,8 @@ ARGVS = st.one_of(
               st.sampled_from([2, 3, 4, 5, 17]), st.integers(0, 6), _POLY_K),
     st.builds(lambda q, n, k, g: ("polys", "run", "--q", str(q), "--n",
                                   str(n), "--k", str(k), "--grid", g),
-              st.sampled_from([2, 3, 5]), st.integers(0, 6), _POLY_K,
-              _GRIDS),
+              st.sampled_from([2, 3, 5, 17, 10007]), st.integers(0, 6),
+              _POLY_K, _GRIDS),
     st.builds(lambda m, pmax: ("series", "euler", "--s", _csv([2] * m),
                                "--pmax", str(pmax), "--vmax", "30"),
               st.integers(1, 250), st.integers(1, 20)),
@@ -313,7 +321,7 @@ ARGVS = st.one_of(
                                "--vmax", str(v)),
               st.sampled_from([2, 3, 4]), st.integers(0, 1000),
               st.integers(0, 5)),
-    # the deprecated flag, the a0 cost guard and the polys series guard
+    # the deprecated flag, the a0 cost guard and the polys work guard
     st.builds(lambda verb, x, k, t: ("integers", verb, "--x", str(x), "--k",
                                      str(k), "--grid", "1/4", "--threads",
                                      str(t)),
@@ -361,16 +369,19 @@ def test_threads_flag_is_deprecated_and_ignored(verb, x, capsys, tmp_path):
 
 def test_integrity_error_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DIRLAW_CACHE", str(tmp_path))
-    code, out, _ = run(capsys, "polys", "exact", "--q", "2", "--n", "2",
-                       "--k", "2", "--u", "0.5")
-    assert code == 0 and out.strip() == "31/48"
-    cache = tmp_path / "irr_q2_d1.bin"
+    argv = ("integers", "exact", "--x", "10", "--k", "2", "--u", "1/2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() == "7/12"
+    cache = tmp_path / "spf_10.bin"
     raw = bytearray(cache.read_bytes())
-    raw[12] ^= 0xFF  # count field of the first degree block
+    raw[12 + 4 * 2] ^= 0xFF  # spf[2], a sentinel
     cache.write_bytes(bytes(raw))
-    code, _, err = run(capsys, "polys", "exact", "--q", "2", "--n", "2",
-                       "--k", "2", "--u", "0.5")
+    code, _, err = run(capsys, *argv)
     assert code == 4 and "error" in err
+    # a limit CDF outside the Frechet bounds of its marginals
+    code, out, err = run(capsys, "dirichlet", "cdf", "--alpha",
+                         "1e5,1e5,1e5", "--u", "0.364,0.492")
+    assert code == 4 and "Frechet bounds" in err and not out
 
 
 def test_run_writes_csv_and_manifest(capsys, tmp_path, monkeypatch):

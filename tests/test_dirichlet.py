@@ -172,6 +172,17 @@ def test_cdf_large_alpha_in_either_order(alpha, u, want):
         assert abs(cdf(alpha, c) - want) <= 1e-9
 
 
+@pytest.mark.parametrize("alpha,u", [((1e5,) * 3, (0.364, 0.492)),
+                                     ((1e4,) * 3, (0.377, 0.408))])
+def test_cdf_outside_the_frechet_bounds_raises(alpha, u):
+    # every u_i lies far above its mode, so F = 1 - 2e-14 and 1 - 1e-16,
+    # and so is the lower bound 1 - sum(1 - F_i); the substitution misses
+    # the peak and two levels agree on 0 and 3.1e-10
+    for c in (u, u[::-1]):
+        with pytest.raises(IntegrityError, match="Frechet bounds"):
+            cdf(alpha, c)
+
+
 @pytest.mark.parametrize("u", [(0.1, 0.2, 0.3), (0.125, 0.375, 0.5),
                                (0.05, 0.25, 0.6)])
 def test_cdf_k4_is_permutation_invariant(u):

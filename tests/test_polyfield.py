@@ -272,28 +272,35 @@ def oracle_lhs(q, n, k, tensors, u):
                                    (2, 20, 2)])
 def test_box_table_matches_block_sums(q, n, k):
     # the exact path against the per-tau block sums of the recursion
-    table = build_irreducibles(q, n // 2)
     tensors = profile_tensors(q, n, k)
     for u in rect_grid(k, Fraction(1, 10)):
-        assert exact_lhs_poly(q, n, k, u, table) \
+        assert exact_lhs_poly(q, n, k, u) \
             == oracle_lhs(q, n, k, tensors, u), (q, n, k, u)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(q=st.sampled_from([2, 3, 5, 7]), k=st.integers(2, 4),
+@given(q=st.sampled_from([2, 3, 5, 7, 17, 101, 10007]), k=st.integers(2, 4),
        data=st.data())
 def test_both_rings_match_the_partition_recursion(q, k, data):
-    n = data.draw(st.integers(1, {2: 8, 3: 6, 5: 4, 7: 4}[q]))
-    table = build_irreducibles(q, max(1, n // 2))
+    # n is capped so that q^n times a tensor entry stays inside int64
+    n = data.draw(st.integers(1, {2: 8, 3: 6, 5: 4, 7: 4, 17: 5, 101: 4,
+                                  10007: 3}[q]))
     tensors = profile_tensors(q, n, k)
     u = data.draw(st.tuples(*[st.fractions(0, 1, max_denominator=12)]
                             * (k - 1)))
-    exact = exact_lhs_poly(q, n, k, u, table)
+    exact = exact_lhs_poly(q, n, k, u)
     assert exact == oracle_lhs(q, n, k, tensors, u)
     floats = polyfield._corner_table(q, n, k, polyfield._Floats(n + 1))
     caps = tuple(math.floor(n * c) for c in u)
     assert abs(Fraction(floats[caps + (0,)].real) - exact) <= 1e-15
-    assert exact_lhs_poly(q, n, k, (1,) * (k - 1), table) == 1
+    assert exact_lhs_poly(q, n, k, (1,) * (k - 1)) == 1
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 400, 2), (10007, 100, 3)])
+def test_full_box_is_one_at_large_n(q, n, k):
+    # the float path far beyond any enumeration of q^n polynomials
+    table = polyfield._corner_table(q, n, k, polyfield._Floats(n + 1))
+    assert abs(table[(n,) * (k - 1) + (0,)] - 1) <= 1e-12
 
 
 def test_float_path_tends_to_perms_as_q_grows():
@@ -327,10 +334,18 @@ def test_poly_domain_errors(irr2):
         PolyQ(4, (1, 1))  # q must be prime
     with pytest.raises(DomainError):
         PolyQ(3, (1, 5))  # coefficient out of range
-    with pytest.raises(DomainError):
-        exact_lhs_poly(2, 18, 2, (Fraction(1, 2),), irr2)  # table too small
-    with pytest.raises(ResourceError):
-        exact_lhs_poly(2, 40, 2, (Fraction(1, 2),),
-                       irr2)  # enumeration guard
-    with pytest.raises(ResourceError, match="residue rings exceed the 1e7"):
-        exact_lhs_poly(2, 9, 7, (Fraction(1, 7),) * 6, irr2)
+    with pytest.raises(DomainError, match="q must be a prime"):
+        exact_lhs_poly(4, 2, 2, (Fraction(1, 2),))
+    with pytest.raises(ResourceError, match="trial-division guard"):
+        exact_lhs_poly(10 ** 18 + 3, 2, 2, (Fraction(1, 2),))
+    with pytest.raises(ResourceError, match="q must be at most 13"):
+        build_irreducibles(17, 2)  # the sieve keeps its cap
+    # the table is not read, so one of degree 8 serves n = 18
+    assert exact_lhs_poly(2, 18, 2, (Fraction(1, 2),), irr2) \
+        == exact_lhs_poly(2, 18, 2, (Fraction(1, 2),))
+    # the work guard: in floats at (9, 7), by its 159 residue rings at
+    # (200, 2), where the float count alone is 8.7e6
+    for n, k in [(9, 7), (200, 2)]:
+        with pytest.raises(ResourceError, match="exceeds the 6e8 work"):
+            exact_lhs_poly(2, n, k, (Fraction(1, k),) * (k - 1))
+    polyfield.check_statistic(2, 200, 2)
