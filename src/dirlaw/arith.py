@@ -202,6 +202,11 @@ class WeightModel:
     is the limiting Dirichlet parameter vector as exact rationals, with
     ``theta`` its total.  ``exact`` marks models whose local weights are
     rationals.
+
+    ``local_class`` maps an int64 array of primes to an integer array of
+    class keys.  Primes with equal keys must have equal ``f_local`` and
+    ``g_local`` at every exponent, so the local tables are compiled once
+    per (class, exponent).  ``None`` puts every prime in its own class.
     """
 
     model_id: str
@@ -211,6 +216,7 @@ class WeightModel:
     alpha_exact: tuple[Fraction, ...]
     exact: bool = True
     f_bounded_by_one: bool = True
+    local_class: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.k != len(self.alpha_exact):
@@ -269,6 +275,11 @@ def total_g(model: WeightModel, fn: FactoredInteger):
 
 # ----------------------------------------------------------------- models
 
+def _one_class(p: np.ndarray) -> np.ndarray:
+    """The ``local_class`` of a model whose local weights ignore p."""
+    return np.zeros(len(p), dtype=np.int64)
+
+
 def model_uniform(k: int) -> WeightModel:
     """Unweighted tuples: f = 1, G = 1, limit Dir(1/k, ..., 1/k)."""
     _check_k(k)
@@ -277,6 +288,7 @@ def model_uniform(k: int) -> WeightModel:
         f_local=lambda p, v: 1,
         g_local=lambda p, comp: 1,
         alpha_exact=(Fraction(1, k),) * k,
+        local_class=_one_class,
     )
 
 
@@ -291,21 +303,22 @@ def model_tau_weights(theta, lambdas: Sequence) -> WeightModel:
     lam_sum = sum(lams)
 
     # the local weights ignore p: compute each value once
-    f_of = lru_cache(maxsize=None)(lambda v: rising_binoms(th, v)[v])
+    rising = lru_cache(maxsize=None)(lambda lam, a: rising_binoms(lam, a)[a])
 
     @lru_cache(maxsize=None)
     def g_of(comp):
         out = Fraction(1)
         for lam, a in zip(lams, comp):
-            out *= rising_binoms(lam, a)[a]
+            out *= rising(lam, a)
         return out
 
     alpha = tuple(th * lam / lam_sum for lam in lams)
     return WeightModel(
-        model_id="tau-weights", k=k, f_local=lambda p, v: f_of(v),
+        model_id="tau-weights", k=k, f_local=lambda p, v: rising(th, v),
         g_local=lambda p, comp: g_of(comp),
         alpha_exact=alpha,
         f_bounded_by_one=(th <= 1),
+        local_class=_one_class,
     )
 
 
@@ -341,6 +354,7 @@ def model_residues(q: int) -> WeightModel:
     return WeightModel(
         model_id=f"residues({q})", k=k, f_local=f_local, g_local=g_local,
         alpha_exact=(Fraction(1, k),) * k,
+        local_class=lambda p, _q=q: p % _q,
     )
 
 
@@ -357,6 +371,7 @@ def model_two_squares(k: int) -> WeightModel:
         model_id="two-squares", k=k, f_local=f_local,
         g_local=lambda p, comp: 1,
         alpha_exact=(Fraction(1, 2 * k),) * k,
+        local_class=lambda p: p % 4,
     )
 
 
@@ -371,6 +386,7 @@ def model_squarefree(k: int) -> WeightModel:
         model_id="squarefree", k=k, f_local=f_local,
         g_local=lambda p, comp: 1,
         alpha_exact=(Fraction(1, k),) * k,
+        local_class=_one_class,
     )
 
 
@@ -401,6 +417,7 @@ def model_coprime(k: int, allowed_pairs: Sequence[tuple[int, int]] = ())\
         model_id="coprime", k=k,
         f_local=lambda p, v: 1, g_local=g_local,
         alpha_exact=(Fraction(1, k),) * k,
+        local_class=_one_class,
     )
 
 
@@ -412,18 +429,18 @@ def model_nested(k: int) -> WeightModel:
     _check_k(k)
 
     def g_local(p, comp, _k=k):
-        out = Fraction(1)
-        tail = sum(comp)
+        den, tail = 1, sum(comp)
         for j in range(_k - 1):
-            out /= tail + 1
+            den *= tail + 1
             tail -= comp[j]
-        return out
+        return Fraction(1, den)
 
     alpha = tuple(Fraction(1, 2 ** min(j, k - 1)) for j in range(1, k + 1))
     return WeightModel(
         model_id="nested", k=k,
         f_local=lambda p, v: 1, g_local=g_local,
         alpha_exact=alpha,
+        local_class=_one_class,
     )
 
 

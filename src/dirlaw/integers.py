@@ -12,8 +12,9 @@ the Dirichlet rectangle CDF attached to the model.
 
 A tuple is fixed by one weak composition of v_p(n) into k parts at each
 prime p of n.  ``_LocalTables`` calls the model's local weights once per
-prime power p^v <= x and keeps, for each, the compositions G admits with
-their float weights, the local G sum and f(p^v).  The float engines then
+local class of p (``WeightModel.local_class``) and exponent v, and keeps
+for each prime power p^v <= x the compositions G admits with their float
+weights, the local G sum and f(p^v).  The float engines then
 walk a run of n at a time with numpy only: split each n into prime-power
 slots by ``least_prime_powers``, drop the n with f(n) = 0, and expand
 the tuples slot by slot (smallest prime first) while accumulating log
@@ -149,13 +150,17 @@ class _Leaves:
 
 
 class _LocalTables:
-    """A model's local weights at every prime power <= x, compiled once.
+    """A model's local weights at every prime power <= x, compiled once
+    per local class and exponent.
 
     Each prime power q = p^v maps to an entry holding log p and a table:
     the compositions of v that G admits (rows), their float G weights,
-    the local G sum and f(p^v).  Identical tables are stored once, so
-    most models keep one table per exponent.  Entry 0 stands for q = 1:
-    one all-zero row of weight 1, which pads the n with fewer primes.
+    the local G sum and f(p^v).  The model is called once per distinct
+    (``local_class`` key, v) and its table shared by every p^v of that
+    pair.  Identical tables are stored once, numbered in order of first
+    appearance along the prime powers by (p, v), so most models keep one
+    table per exponent.  Entry 0 stands for q = 1: one all-zero row of
+    weight 1, which pads the n with fewer primes.
     """
 
     def __init__(self, model: WeightModel, x: int, sieve: SpfSieve):
@@ -171,29 +176,31 @@ class _LocalTables:
         # entry i >= 1: the i-th p^v <= x by (p, v), as ``draw``'s keys need
         pp = np.flatnonzero(self._cofactor == 1)[1:]
         pp = pp[np.lexsort((pp, sieve.spf[pp]))]
-        entry_table = [intern(1.0, 1.0, ((0,) * k,), (1.0,))]
-        entry_logp = [0.0]
-        for p, v in zip(sieve.spf[pp].tolist(), exponent[pp].tolist()):
-            f = model.f_local(p, v)
-            if f == 0:
-                tid = intern(0.0, 0.0, (), ())
-            else:
-                rows, gs = [], []
-                for comp in compositions(v, k):
-                    g = model.g_local(p, comp)
-                    if g != 0:
-                        rows.append(comp)
-                        gs.append(g)
-                tid = intern(float(f), float(sum(gs)), tuple(rows),
-                             tuple(float(g) for g in gs))
-            entry_table.append(tid)
-            entry_logp.append(math.log(p))
+        p = sieve.spf[pp].astype(np.int64)
+        v = exponent[pp].astype(np.int64)
+        key = p if model.local_class is None else model.local_class(p)
+        _, first, key_of = np.unique(np.stack([key, v], axis=1), axis=0,
+                                     return_index=True, return_inverse=True)
+        # one model call per (class, v), interned in order of first use
+        key_table = np.empty(len(first), dtype=np.int64)
+        intern(1.0, 1.0, ((0,) * k,), (1.0,))
+        for i in np.argsort(first).tolist():
+            q, e = int(p[first[i]]), int(v[first[i]])
+            f = model.f_local(q, e)
+            rows, gs = [], []
+            for comp in compositions(e, k) if f != 0 else ():
+                g = model.g_local(q, comp)
+                if g != 0:
+                    rows.append(comp)
+                    gs.append(g)
+            key_table[i] = intern(float(f), float(sum(gs)), tuple(rows),
+                                  tuple(float(g) for g in gs))
+        self._table = np.concatenate([[0], key_table[key_of.reshape(-1)]])
+        self._logp = _log(np.concatenate([[1], p]))
         entry_of = np.zeros(x + 1, dtype=np.int32)
         entry_of[pp] = np.arange(1, len(pp) + 1)
         self._entry = entry_of[power]
         tables = list(interned)
-        self._table = np.array(entry_table, dtype=np.int64)
-        self._logp = np.array(entry_logp)
         self._f = np.array([t[0] for t in tables])
         self._g_sum = np.array([t[1] for t in tables])
         counts = np.array([len(t[2]) for t in tables], dtype=np.int64)

@@ -31,10 +31,14 @@ _TABLE_GUARD = 10 ** 8
 # residue rings (1 in floats), swept n times by the log and exp recurrences
 # and about 8k times by the h_e build, the DFT and the running sums.  The
 # slowest at the edge of the guard (2 cores, q in {2, 10007}, every k):
-# floats n = 50, k = 4 in 2.1-3.3 s and 345 MB peak RSS, and n = 23, k = 5
-# in 1.5-2.2 s and 406 MB; residues q = 2, n = 15, k = 5 (10 rings) in
-# 2.0-2.6 s and 281 MB.
+# floats n = 50, k = 4 in 2.1-3.3 s and 355 MB peak RSS, and n = 23, k = 5
+# in 1.5-2.2 s and 411 MB; residues q = 2, n = 15, k = 5 (10 rings) in
+# 2.0-2.6 s and 286 MB.
 _WORK_GUARD = 6 * 10 ** 8
+# Most cells of one gather of the H step.  Gathering every e of a degree d
+# at once would hold a copy of the whole series at d = 1 (+150 to 200 MB
+# at the corners above); slabs of 2^19 cells add about 10 MB there.
+_GATHER_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -384,14 +388,22 @@ def _corner_table(q: int, n: int, k: int, ring) -> np.ndarray:
                          - ring.red(np.einsum("s...,s...->...", sg[1:e],
                                               series[e - 1:0:-1])))
     # s H_s, H_t = sum_(de=t) I_q(d) q^(-t) G_e(y^d): y^d is the grid
-    # point with every index times d, so G_e(y^d) is a gather
+    # point with every index times d, so G_e(y^d) is a gather: one flat
+    # take on the raveled grid per slab of e <= n/d, added into t = d e
     sh = np.zeros_like(series)
+    flat_sg, flat_sh = sg.reshape(m, -1, rings), sh.reshape(m, -1, rings)
+    slab = max(1, _GATHER_CELLS // flat_sg[0].size)
     for d in range(1, m):
-        power = np.ix_(*[(d * np.arange(m)) % m] * (k - 1))
+        power = np.ravel_multi_index(
+            np.ix_(*[d * np.arange(m) % m] * (k - 1)), (m,) * (k - 1)).ravel()
         count = irreducible_count(q, d)
-        for e in range(1, n // d + 1):
-            sh[d * e] = ring.red(sh[d * e] + ring.red(
-                sg[e][power] * ring.frac(d * count, q ** (d * e))))
+        for lo in range(1, n // d + 1, slab):
+            e = range(lo, min(lo + slab, n // d + 1))
+            scale = np.array([ring.frac(d * count, q ** (d * i)) for i in e])
+            t = slice(d * e.start, d * e.stop, d)
+            flat_sh[t] = ring.red(flat_sh[t] + ring.red(
+                flat_sg[e.start:e.stop].take(power, axis=1)
+                * scale[:, None]))
     del sg
     # P = exp H:  t P_t = sum_(s<=t) s H_s P_(t-s)
     series[0] = 1

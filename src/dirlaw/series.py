@@ -14,7 +14,6 @@ than a guessed tolerance.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import itertools
 import math
@@ -142,7 +141,8 @@ def _axis_powers(s: complex, n_max: int, real_point: bool) -> np.ndarray:
 
 # ------------------------------------------------ the tau-weighted box sum
 
-_BLOCK_CELLS = 1 << 20      # cells of one block of rows by the last axis
+_BLOCK_CELLS = 1 << 20      # most cells of one prefix's block of rows
+_STACK_CELLS = 1 << 18      # most cells of a block of stacked prefixes
 
 
 def tau_box_sum(axes, sieve: SpfSieve) -> complex:
@@ -155,9 +155,12 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
     imaginary parts apart.  Exact rounding frees it from the row order:
     it is, bit for bit, a plain loop with the same bracket.
 
-    Only the first k - 2 coordinates loop in Python.  For each prefix
-    m = n_1 ... n_{k-2}, the rows a = n_{k-1} go in blocks of at most
-    ``_BLOCK_CELLS`` cells (or one row), the last coordinate b as columns.
+    The rows a = n_{k-1} by the columns b = n_k form one prefix
+    n_1 ... n_{k-2}.  When two or more prefixes fit in ``_STACK_CELLS``
+    cells, blocks of as many whole prefixes n_{k-2} as fit stack into one
+    (prefix, a, b) array, and only n_1 ... n_{k-3} loop in Python.  Else
+    every prefix loops in Python, its rows in blocks of at most
+    ``_BLOCK_CELLS`` cells (or one row).
     """
     k = len(axes)
     if k == 1:
@@ -171,25 +174,46 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
     comb = _comb_weights(k, sum(n.bit_length() for n in sizes) + 1)
     _, exponent, cofactor = least_prime_powers(sieve, max(sizes))
     tau = multiplicative_table(comb[exponent], cofactor)
-    primes = primes_up_to(n_cols)
-    step = max(1, _BLOCK_CELLS // n_cols)
+    primes = np.array(primes_up_to(max(sizes)), dtype=int)
+    if n_rows * n_cols <= _BLOCK_CELLS:
+        per, step = _STACK_CELLS // (n_rows * n_cols), n_rows
+    else:
+        per, step = 1, max(1, _BLOCK_CELLS // n_cols)
+    stack = outer.pop() if k > 2 and min(per, sizes[-3]) > 1 else None
     re_rows, im_rows = [], []
-    for prefix in itertools.product(*(range(1, n + 1) for n in sizes[:-2])):
+    for prefix in itertools.product(*(range(1, len(ax) + 1) for ax in outer)):
         c, exps = 1.0, {}
         for ax, n in zip(outer, prefix):
             c = c * ax[n - 1]
             for p, v in factorize(n, sieve).factors:
                 exps[p] = exps.get(p, 0) + v
-        for lo in range(1, n_rows + 1, step):
-            hi = min(lo + step, n_rows + 1)
-            coef = np.array([c * a for a in mid[lo - 1:hi - 1]])
-            terms = coef[:, None] * last
-            terms /= _tau_block(tau, comb, exps, lo, hi, n_cols, primes)
-            # memoryview hands fsum one float at a time: no row list
-            re_rows += [math.fsum(memoryview(row)) for row in terms.real]
-            if np.iscomplexobj(terms):
-                im_rows += [math.fsum(memoryview(row))
-                            for row in terms.imag]
+        tau_m = math.prod(comb[e] for e in exps.values())
+        # per block of prefixes n_{k-2}: their c, their range (none when
+        # they loop in Python) and tau_k(m n_{k-2})
+        blocks = [([c], [], tau_m)] if stack is None else [
+            ([c * a for a in stack[lo - 1:hi - 1]], [(lo, hi)],
+             _tau_extend(tau_m, [], exps, lo, hi, tau, comb, primes))
+            for lo, hi in ((lo, min(lo + per, len(stack) + 1))
+                           for lo in range(1, len(stack) + 1, per))]
+        for cs, ranges, tau_pre in blocks:
+            for r_lo in range(1, n_rows + 1, step):
+                r_hi = min(r_lo + step, n_rows + 1)
+                left = _tau_extend(tau_pre, ranges, exps, r_lo, r_hi, tau,
+                                   comb, primes)
+                if left.max() * tau[1:n_cols + 1].max() >= 2.0 ** 53:
+                    raise ResourceError(
+                        "tau_k products exceed the exact float range")
+                block = _tau_extend(left, ranges + [(r_lo, r_hi)], exps, 1,
+                                    n_cols + 1, tau, comb, primes)
+                coef = np.array([[ci * a for a in mid[r_lo - 1:r_hi - 1]]
+                                 for ci in cs])
+                terms = np.multiply.outer(coef, last).reshape(-1, n_cols)
+                terms /= block.reshape(-1, n_cols)
+                # memoryview hands fsum one float at a time: no row list
+                re_rows += [math.fsum(memoryview(row)) for row in terms.real]
+                if np.iscomplexobj(terms):
+                    im_rows += [math.fsum(memoryview(row))
+                                for row in terms.imag]
     return complex(math.fsum(re_rows), math.fsum(im_rows) if im_rows else 0.0)
 
 
@@ -209,29 +233,55 @@ def _trade(cells: np.ndarray, comb: np.ndarray, v_x, v_y):
     cells *= comb[np.add.outer(v_x, v_y)]
 
 
-def _tau_block(tau, comb, exps: dict[int, int], lo: int, hi: int,
-               n_cols: int, primes: list[int]) -> np.ndarray:
-    """tau_k(m a b) for rows a = lo..hi-1 and columns b = 1..n_cols.
+def _tau_extend(cells, ranges, exps: dict[int, int], lo: int, hi: int,
+                tau, comb, primes: np.ndarray) -> np.ndarray:
+    """tau_k(u c) on the grid of ``cells`` by c = lo..hi-1 (a new last
+    axis), from cells = tau_k(u) at u = m c_1 ... c_d, where c_i runs
+    over ``ranges[i]`` = (lo_i, hi_i) and ``exps`` holds the prime
+    exponents of m.
 
-    ``exps`` holds the prime exponents of m.  The block starts from
-    tau_k(m) tau_k(a) tau_k(b) and trades local factors at every prime
-    that divides two of m, a and b.  The cells are integers below 2^53
-    that only shrink, so every float division and product is exact.
+    The grid starts as tau_k(u) tau_k(c).  At every prime p that divides
+    some u and some c, the cells with p | c swap comb[v_p(u)]
+    comb[v_p(c)] for comb[v_p(u c)]: all of them in one pass when p
+    divides every u, else in one strided pass per axis i over the c_i
+    divisible by p.  A pass puts v_p(u) = 0 on the cells that a later
+    pass takes, an exact identity on cells not yet traded at p, so each
+    cell trades once.  The cells are integers below 2^53 that only
+    shrink, so every float division and product is exact.
     """
-    left = tau[lo:hi] * math.prod(comb[e] for e in exps.values())
-    for p, e in exps.items():            # tau_k(m a) at the primes of m
-        hot = slice(-lo % p, None, p)
-        _trade(left[None, hot], comb, [e], _vp(p, lo, hi)[hot])
-    if left.max() * tau[1:n_cols + 1].max() >= 2.0 ** 53:
-        raise ResourceError("tau_k products exceed the exact float range")
-    block = np.multiply.outer(left, tau[1:n_cols + 1])
-    for p in exps.keys() | set(primes[:bisect.bisect_left(primes, hi)]):
-        e = exps.get(p, 0)             # every row when p | m, else p | a
-        hot = slice(None) if e else slice(-lo % p, None, p)
-        if p <= n_cols and (e or lo + hot.start < hi):
-            _trade(block[hot, p - 1::p], comb, e + _vp(p, lo, hi)[hot],
-                   1 + _vp(p, 1, n_cols // p + 1))
-    return block
+    out = np.multiply.outer(cells, tau[lo:hi])
+    reach = max((b for _, b in ranges), default=0)
+    shapes = [[-1 if j == i else 1 for j in range(len(ranges))]
+              for i in range(len(ranges))]
+    ones = [a for a, b in ranges if b - a == 1]       # axes of one value
+    # the primes with a multiple among the c and along some axis
+    near = primes[:np.searchsorted(primes, reach)]
+    hit = np.zeros(len(near), dtype=bool)
+    for a, b in ranges:
+        hit |= (b - 1) // near * near >= a
+    hit &= (hi - 1) // near * near >= lo
+    for p in exps.keys() | set(near[hit].tolist()):
+        hot_c = slice(-lo % p, None, p)
+        if lo + hot_c.start >= hi:
+            continue
+        v_c = 1 + _vp(p, -(-lo // p), (hi - 1) // p + 1)
+        # per axis with a multiple of p: its strided slice, and v_p along
+        # it shaped to broadcast on the grid
+        v = [((slice(None),) * i + (slice(-a % p, None, p),),
+              _vp(p, a, b).reshape(shapes[i]))
+             for i, (a, b) in enumerate(ranges) if a + -a % p < b]
+        if p in exps or ones and any(a % p == 0 for a in ones):
+            _trade(out[..., hot_c], comb,
+                   exps.get(p, 0) + sum(w for _, w in v), v_c)
+            continue                                     # p | every u
+        for n, (hot, w) in enumerate(v):
+            v_u = w[hot]                      # later axes: 0 where unmasked
+            for _, x in v[:n]:
+                v_u = v_u + x
+            for _, x in v[n + 1:]:
+                v_u = v_u * (x == 0)
+            _trade(out[hot + (Ellipsis, hot_c)], comb, v_u, v_c)
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -183,6 +184,51 @@ def test_tuple_count_table_matches_the_slots(case, x, sieve_small):
     assert np.bincount(lv.owner, minlength=len(lv.n)).tolist() \
         == counts[lv.n].tolist()
     assert not counts[1:][f[1:] == 0].any()
+
+
+_TABLE_ARRAYS = ("_table", "_entry", "_logp", "_cofactor", "_f", "_g_sum",
+                 "_row_count", "_row_start", "_row_g", "_row_key")
+
+
+@pytest.mark.parametrize(
+    "case", SPELLINGS + [(f"residues:{q}", None) for q in (3, 4, 5, 8)],
+    ids=str)
+def test_local_class_tables_match_per_prime_tables(case, sieve_small):
+    """Tables compiled once per (local class, v) against tables compiled
+    at every prime power, array for array, bit for bit."""
+    model = parse_model(*case)
+    assert model.local_class is not None
+    got = integers._LocalTables(model, 4095, sieve_small)
+    want = integers._LocalTables(
+        dataclasses.replace(model, local_class=None), 4095, sieve_small)
+    for name in _TABLE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert [e.tobytes() for e in got._row_exps] \
+        == [e.tobytes() for e in want._row_exps]
+
+
+@pytest.mark.parametrize("spec,k", [("uniform", 3), ("nested", 3),
+                                    ("two-squares", 2), ("residues:5", None),
+                                    ("tau-weights:1;1,2,3", 3)])
+def test_compile_calls_the_model_once_per_class(spec, k, sieve_small):
+    """``_LocalTables`` calls f_local exactly once per (class, v) among
+    the prime powers <= x, not once per prime power."""
+    model = parse_model(spec, k)
+    calls = []
+    counted = dataclasses.replace(
+        model, f_local=lambda p, v: calls.append((p, v)) or
+        model.f_local(p, v))
+    calls.clear()                      # the dataclass's own check
+    x = 4095
+    integers._LocalTables(counted, x, sieve_small)
+    primes = np.array([p for p in range(2, x + 1)
+                       if factorize(p, sieve_small).factors == ((p, 1),)])
+    cls = dict(zip(primes.tolist(), model.local_class(primes).tolist()))
+    want = {(cls[p], v) for p in cls for v in range(1, 13) if p ** v <= x}
+    got = Counter((cls[p], v) for p, v in calls)
+    assert set(got) == want and set(got.values()) == {1}
+    assert len(calls) < len(primes) / 10
 
 
 @pytest.mark.parametrize("spelling,x,bins", [

@@ -171,14 +171,17 @@ def plain_box_sum(axes, sieve):
 
 
 @st.composite
-def boxes(draw):
-    k = draw(st.integers(1, 4))
+def boxes(draw, ks=st.integers(1, 4), stack=1, real=False):
+    """k axes of random reals (or, unless ``real``, complexes); the axis
+    of n_{k-2}, when there is one, has at least ``stack`` entries."""
+    k = draw(ks)
     longest = {1: 300, 2: 60, 3: 16, 4: 7}[k]
     value = st.floats(-2.0, 2.0)
-    if draw(st.booleans()):
+    if not real and draw(st.booleans()):
         value = st.builds(complex, value, value)
-    return [draw(st.lists(value, min_size=1, max_size=longest))
-            for _ in range(k)]
+    return [draw(st.lists(value, min_size=stack if j == k - 3 else 1,
+                          max_size=longest))
+            for j in range(k)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -193,6 +196,19 @@ def test_tau_box_sum_matches_plain_loop(axes, cells, sieve_small):
         scale = math.prod(max(map(abs, ax)) for ax in axes) \
             * math.prod(map(len, axes))
         assert abs(got - want) <= 1e-15 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(axes=boxes(ks=st.integers(3, 4), stack=3, real=True),
+       data=st.data())
+def test_tau_box_sum_stacks_some_prefixes(axes, data, sieve_small):
+    """Blocks of several but not all prefixes n_{k-2}, bit for bit."""
+    per = data.draw(st.integers(2, len(axes[-3]) - 1))
+    cells = per * len(axes[-2]) * len(axes[-1]) \
+        + data.draw(st.integers(0, len(axes[-2]) * len(axes[-1]) - 1))
+    with mock.patch.object(series, "_STACK_CELLS", cells):
+        assert tau_box_sum(axes, sieve_small) \
+            == plain_box_sum(axes, sieve_small)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
