@@ -181,6 +181,63 @@ def rising_binoms(a, m: int) -> list:
     return out
 
 
+# ------------------------------------------------------------ exact rings
+
+class Floats:
+    """float64, one ring: the inexact twin of ``Residues``."""
+
+    def frac(self, num: int, den: int) -> np.ndarray:
+        # integer true division: a huge num or den does not overflow
+        return np.array([num / den])
+
+    def red(self, x):
+        return x
+
+
+class Residues:
+    """int64 residues modulo primes below 2^26 (``word_primes``), one ring
+    per prime on the last axis, so a scalar is an (R,) array that
+    broadcasts.  A product of two residues stays below 2^52, so a sum of
+    up to 2^11 products fits int64 before it is reduced."""
+
+    def __init__(self, primes: tuple[int, ...]):
+        self.primes = primes
+        self.p = np.array(primes, dtype=np.int64)
+
+    def frac(self, num: int, den: int) -> np.ndarray:
+        return np.array([num % p * pow(den % p, -1, p) % p
+                         for p in self.primes], dtype=np.int64)
+
+    def red(self, x: np.ndarray) -> np.ndarray:
+        return x % self.p
+
+    def fraction(self, residues: np.ndarray, bound: int) -> Fraction:
+        """The V in [0, 1] with these residues, one per ring, by the Chinese
+        remainder theorem: bound * V is an integer below their product."""
+        modulus = math.prod(self.primes)
+        value = sum(r * bound * (modulus // p) * pow(modulus // p, -1, p)
+                    for r, p in zip(residues.tolist(), self.primes)) % modulus
+        if value > bound:
+            raise IntegrityError("residues recombined above their bound")
+        return Fraction(value, bound)
+
+
+def word_primes(m: int, bound: int, skip: int = 0) -> tuple[int, ...]:
+    """Primes p = 1 (mod m) other than ``skip``, taken down from 2^26 until
+    their product exceeds ``bound``; ResourceError once they would fall
+    below 2^25."""
+    divisors = np.array(primes_up_to(1 << 13))
+    primes, product, p = [], 1, ((1 << 26) - 2) // m * m + 1
+    while product <= bound:
+        if p < 1 << 25:
+            raise ResourceError("too few word primes for the exact path")
+        if p != skip and (p % divisors).all():     # no factor below 2^13
+            primes.append(p)
+            product *= p
+        p -= m
+    return tuple(primes)
+
+
 @lru_cache(maxsize=4096)
 def compositions(v: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All weak compositions of v into k ordered parts, in a fixed order."""

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import rising_binoms
+from .arith import Floats, Residues, rising_binoms, word_primes
 from .dirichlet import cdf
 from .errors import DomainError, IntegrityError
 from .report import (DeviationReport, deviation_report, rect_fractions,
@@ -133,67 +133,57 @@ def lhs_perm_exact(n: int, k: int, rect):
     It is [z^n] B(z) prod_(i<k) B_(<=c_i)(z): B(z) = (1 - z)^(-1/k) has
     the block weights b[m] = C(m + 1/k - 1, m) as coefficients, B_(<=c)
     is B cut after z^c, and every k is one dot against the ``_tail``
-    chain of truncated convolutions.  Exact Fraction for n <= 300, summed
-    in the integers k^n n! b[m]; double precision beyond (relative error
-    well under 1e-9).
+    chain of truncated convolutions.  Exact Fraction for n <= 300, from
+    residues recombined over D = k^n n!, since each term prod_i b[m_i]
+    (sum_i m_i = n) has a denominator dividing D; double precision beyond
+    (relative error well under 1e-9).
     """
+    return _corner(n, k, _caps(n, k, rect), n <= _EXACT_MAX_N)
+
+
+def _caps(n: int, k: int, rect) -> list[int]:
     if n < 0 or n > _MAX_N:
         raise DomainError(f"n must lie in [0, {_MAX_N}]")
     if not 2 <= k <= _MAX_K:
         raise DomainError(f"k must lie in [2, {_MAX_K}]")
-    caps = [math.floor(n * c) for c in rect_fractions(rect, k)]
-    if n == 0:
-        return Fraction(1)
-    exact = n <= _EXACT_MAX_N
-    binom = _binom_table(n, k, exact)
-    tail = _tail(n, k, tuple(caps[1:]), exact)
-    hi = caps[0]
-    total = np.dot(binom[: hi + 1], tail[n - hi: n + 1][::-1])
-    if not exact:
-        return float(total)
-    return Fraction(total, (k ** n * math.factorial(n)) ** k)
+    return [math.floor(n * c) for c in rect_fractions(rect, k)]
+
+
+def _corner(n: int, k: int, caps: list[int], exact: bool):
+    """The statistic at one corner: a float, or a Fraction over k^n n!."""
+    binom, tail = _tail(n, k, (), exact), _tail(n, k, tuple(caps[1:]), exact)
+    ring = _ring(n, k, exact)
+    value = ring.red(np.array([np.dot(b[: caps[0] + 1], t[n - caps[0]:][::-1])
+                               for b, t in zip(binom.T, tail.T)]))
+    return ring.fraction(value, k ** n * math.factorial(n)) if exact \
+        else float(value[0])
 
 
 @lru_cache(maxsize=64)
-def _binom_table(n: int, k: int, exact: bool) -> np.ndarray:
-    """C(m + 1/k - 1, m) for m = 0..n: as floats, or times k^n n!, a
-    common multiple of their denominators, as Python integers in an
-    object array."""
-    if not exact:
-        return np.array(rising_binoms(1.0 / k, n))
-    scale = k ** n * math.factorial(n)
-    return np.array([int(b * scale)
-                     for b in rising_binoms(Fraction(1, k), n)], dtype=object)
+def _ring(n: int, k: int, exact: bool):
+    """One float64 column, or residues modulo word primes whose product
+    exceeds k^n n!; the chain's int64 sums hold n + 1 <= 2^11 terms."""
+    return Residues(word_primes(1, k ** n * math.factorial(n))) if exact \
+        else Floats()
 
 
 @lru_cache(maxsize=128)
 def _tail(n: int, k: int, caps: tuple[int, ...], exact: bool) -> np.ndarray:
-    """The first n + 1 coefficients of B(z) prod_i B_(<=caps[i])(z) on
-    ``_binom_table``'s scale: the block-size sums of the blocks after the
-    first, the first len(caps) of them capped at ``caps``."""
-    binom = _binom_table(n, k, exact)
-    if not caps:
-        return binom
-    convolve = _kronecker if exact else np.convolve
-    return convolve(binom[: caps[0] + 1],
-                    _tail(n, k, caps[1:], exact))[: n + 1]
-
-
-def _kronecker(a, b) -> np.ndarray:
-    """Convolution of two series of nonnegative Python integers by
-    Kronecker substitution: each series is packed into one integer, a
-    slot of whole bytes per coefficient, and the two are multiplied once.
-    A coefficient of the product sums at most len(a) products below
-    2^(bits(max a) + bits(max b)), so with bits(len(a)) more bits a slot
-    never carries."""
-    width = (max(a).bit_length() + max(b).bit_length()
-             + len(a).bit_length() + 7) // 8
-    packed = [int.from_bytes(b"".join(c.to_bytes(width, "little")
-                                      for c in s), "little") for s in (a, b)]
-    raw = (packed[0] * packed[1]).to_bytes(
-        (len(a) + len(b) - 1) * width, "little")
-    return np.array([int.from_bytes(raw[i: i + width], "little")
-                     for i in range(0, len(raw), width)], dtype=object)
+    """The first n + 1 coefficients of B(z) prod_i B_(<=caps[i])(z), one
+    row per power of z, in the columns of ``_ring``: the block-size sums
+    of the blocks after the first, the first len(caps) of them capped at
+    ``caps``, or with no caps the block weights.  Each truncated
+    convolution is one ``np.convolve`` per column."""
+    ring = _ring(n, k, exact)
+    if caps:
+        binom, rest = _tail(n, k, (), exact), _tail(n, k, caps[1:], exact)
+        return ring.red(np.stack(
+            [np.convolve(b, t)[: n + 1]
+             for b, t in zip(binom[: caps[0] + 1].T, rest.T)], axis=1))
+    if not exact:
+        return np.array(rising_binoms(1.0 / k, n))[:, None]
+    return np.array([ring.frac(b.numerator, b.denominator)
+                     for b in rising_binoms(Fraction(1, k), n)])
 
 
 def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
@@ -203,13 +193,9 @@ def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
     blocks whose first k-1 block sizes respect the caps, via dynamic
     programming over partial size vectors; exact rationals throughout.
     """
-    if n < 0 or n > _BRUTE_MAX_N:
+    if n > _BRUTE_MAX_N:
         raise DomainError(f"brute force needs n <= {_BRUTE_MAX_N}")
-    if not 2 <= k <= _MAX_K:
-        raise DomainError(f"k must lie in [2, {_MAX_K}]")
-    caps = [math.floor(n * c) for c in rect_fractions(rect, k)]
-    if n == 0:
-        return Fraction(1)
+    caps = _caps(n, k, rect)
     total = Fraction(0)
     for ct in cycle_types(n):
         states: dict[tuple[int, ...], int] = {(0,) * (k - 1): 1}
@@ -235,9 +221,9 @@ def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
 def deviation_perm(n: int, k: int, grid_step) -> DeviationReport:
     """Grid sup of |mean statistic - Dir(1/k, ..., 1/k) CDF|.
 
-    The limit CDF is taken first, so a k it refuses evaluates no
-    corner.  The rate normalization is n^(1/k), the expected deviation
-    decay.
+    The mean is the float chain's at every n.  The limit CDF is taken
+    first, so a k it refuses evaluates no corner.  The rate
+    normalization is n^(1/k), the expected deviation decay.
     """
     step = Fraction(grid_step)
     points = rect_grid(k, step)
@@ -245,5 +231,5 @@ def deviation_perm(n: int, k: int, grid_step) -> DeviationReport:
     limits = [cdf(alpha, tuple(float(c) for c in u), 1e-9) for u in points]
     return deviation_report(
         "perms", n, k, "uniform", step, points,
-        [float(lhs_perm_exact(n, k, u)) for u in points], limits,
+        [_corner(n, k, _caps(n, k, u), False) for u in points], limits,
         n ** (1.0 / k))

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import primes_up_to, smallest_prime_factor
+from .arith import Floats, Residues, smallest_prime_factor, word_primes
 from .dirichlet import cdf
 from .errors import DomainError, IntegrityError, ResourceError
 from .report import (DeviationReport, deviation_report, rect_fractions,
@@ -283,80 +283,42 @@ def factor_poly(f: PolyQ, table: IrreducibleTable) -> FactoredPoly:
 #
 # h_e the complete homogeneous polynomial.  No divisor degree exceeds n,
 # so evaluating at the (n + 1)-th roots of unity loses nothing, and one
-# inverse DFT of [w^n] recovers the divisor-degree tensor.  A ring is
-# where the arithmetic runs: complex128 (``_Floats``) or int64 residues
-# modulo word primes (``_Residues``), R rings side by side on the last
-# axis, so a ring's scalars are (R,) arrays that broadcast.
+# inverse DFT of [w^n] recovers the divisor-degree tensor, in complex128
+# (``arith.Floats``) or in the shared ``arith.Residues`` modulo primes
+# p = 1 (mod n + 1), whose int64 sums of n + 1 < 2^11 terms stay exact.
 
 
-class _Floats:
-    """complex128, one ring; y runs over exp(-2 pi i j / m)."""
-
-    def __init__(self, m: int):
-        self.omega = np.exp(-2j * np.pi * np.arange(m) / m)[:, None]
-
-    def frac(self, num: int, den: int) -> np.ndarray:
-        # integer true division: a huge q^de does not overflow a float
-        return np.array([num / den])
-
-    def red(self, x):
-        return x
-
-
-class _Residues:
-    """int64 residues modulo primes p = 1 (mod m) below 2^26, one ring
-    per prime; y runs over the powers of a primitive m-th root of unity.
-    A product of two residues stays below 2^52, so a sum of up to 2^11
-    products, more than any n + 1 the guards admit, fits int64 before it
-    is reduced."""
-
-    def __init__(self, m: int, primes: tuple[int, ...]):
-        self.primes = primes
-        self.p = np.array(primes, dtype=np.int64)
-        self.omega = np.array([_roots_of_unity(p, m) for p in primes],
-                              dtype=np.int64).T
-
-    def frac(self, num: int, den: int) -> np.ndarray:
-        return np.array([num % p * pow(den % p, -1, p) % p
-                         for p in self.primes], dtype=np.int64)
-
-    def red(self, x: np.ndarray) -> np.ndarray:
-        return x % self.p
-
-
-def _roots_of_unity(p: int, m: int) -> list[int]:
-    """w^0, ..., w^(m-1) for a primitive m-th root of unity w modulo the
-    prime p = 1 (mod m)."""
-    for g in range(2, p):
-        w = pow(g, (p - 1) // m, p)
-        powers = [pow(w, j, p) for j in range(m)]
-        if powers.count(1) == 1:
-            return powers
-    raise IntegrityError(f"no primitive {m}-th root of unity modulo {p}")
+def _omega(ring, m: int) -> np.ndarray:
+    """The m-th roots of unity y runs over, one column per ring: exp(-2 pi
+    i j / m), or the powers of a primitive m-th root modulo each prime."""
+    if not isinstance(ring, Residues):
+        return np.exp(-2j * np.pi * np.arange(m) / m)[:, None]
+    columns = []
+    for p in ring.primes:
+        for g in range(2, p):
+            w = pow(g, (p - 1) // m, p)
+            powers = [pow(w, j, p) for j in range(m)]
+            if powers.count(1) == 1:
+                break
+        else:
+            raise IntegrityError(f"no primitive {m}-th root of unity mod {p}")
+        columns.append(powers)
+    return np.array(columns, dtype=np.int64).T
 
 
 @lru_cache(maxsize=64)
 def _crt_basis(q: int, n: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """D and the primes of ``_Residues`` for ``exact_lhs_poly``.
+    """D and the primes of the ``Residues`` of ``exact_lhs_poly``.
 
     D = q^n prod_(e<=n) C(e + k - 1, k - 1)^floor(n/e) is a multiple of
     every q^n tau_k(F), so D times a box mass is an integer in [0, D];
-    the primes, taken down from 2^26, have a product above D; they skip
-    q, the one prime above n + k that divides a denominator.
+    the word primes = 1 (mod n + 1) have a product above D and skip q,
+    the one prime above n + k that divides a denominator.
     """
     bound = q ** n
     for e in range(1, n + 1):
         bound *= math.comb(e + k - 1, k - 1) ** (n // e)
-    m, divisors = n + 1, np.array(primes_up_to(1 << 13))
-    primes, product, p = [], 1, ((1 << 26) - 2) // m * m + 1
-    while product <= bound:
-        if p < 1 << 25:
-            raise ResourceError("too few word primes for the exact path")
-        if p != q and (p % divisors).all():     # no factor below 2^13
-            primes.append(p)
-            product *= p
-        p -= m
-    return bound, tuple(primes)
+    return bound, word_primes(n + 1, bound, skip=q)
 
 
 def _corner_table(q: int, n: int, k: int, ring) -> np.ndarray:
@@ -364,18 +326,18 @@ def _corner_table(q: int, n: int, k: int, ring) -> np.ndarray:
 
     Entry [c_1, ..., c_(k-1), r] is the mean over monic F of degree n of
     the share of ordered k-tuples (D_1, ..., D_k) with product F and
-    deg D_i <= c_i, in ring r (complex in ``_Floats``, with an imaginary
+    deg D_i <= c_i, in ring r (complex in ``Floats``, with an imaginary
     part of rounding size).  Every series is one (term, y_1, ...,
     y_(k-1), ring) array, all grid points at once; no check or guard is
     made here.
     """
     m = n + 1
-    rings = ring.omega.shape[1]
+    omega = _omega(ring, m)
+    rings = omega.shape[1]
     # h_e(y_1, ..., y_(k-1), 1), one variable at a time, then L_e
-    series = np.ones((m,) * k + (rings,), dtype=ring.omega.dtype)
+    series = np.ones((m,) * k + (rings,), dtype=omega.dtype)
     for i in range(k - 1):
-        y = ring.omega.reshape((1,) * i + (m,) + (1,) * (k - 2 - i)
-                               + (rings,))
+        y = omega.reshape((1,) * i + (m,) + (1,) * (k - 2 - i) + (rings,))
         for e in range(1, m):
             series[e] = ring.red(series[e] + y * series[e - 1])
     for e in range(1, m):
@@ -414,7 +376,7 @@ def _corner_table(q: int, n: int, k: int, ring) -> np.ndarray:
     # P_n(y) = sum_j T_j y^j, so T_j = (1/m) sum_a P_n(omega^a) omega^-aj:
     # one (a, j) matrix per axis, then the running sums along it
     j = np.arange(m)
-    inverse = ring.red(ring.omega[np.outer(j, -j) % m] * ring.frac(1, m))
+    inverse = ring.red(omega[np.outer(j, -j) % m] * ring.frac(1, m))
     table = series[n]
     for axis in range(k - 1):
         table = np.moveaxis(ring.red(np.einsum(
@@ -429,7 +391,7 @@ def _residue_table(q: int, n: int, k: int) -> np.ndarray:
     """``_corner_table`` in the residue rings of ``_crt_basis``, kept so
     that a grid of exact corners builds it once.  Under the work guard
     one table holds under 6e8 / (n + 1)^2 int64 cells, so few are kept."""
-    return _corner_table(q, n, k, _Residues(n + 1, _crt_basis(q, n, k)[1]))
+    return _corner_table(q, n, k, Residues(_crt_basis(q, n, k)[1]))
 
 
 def check_statistic(q: int, n: int, k: int, exact: bool = False):
@@ -459,14 +421,7 @@ def exact_lhs_poly(q: int, n: int, k: int, rect,
     caps = tuple(math.floor(n * c) for c in rect_fractions(rect, k))
     check_statistic(q, n, k, exact=True)
     bound, primes = _crt_basis(q, n, k)
-    corner = _residue_table(q, n, k)[caps]
-    # bound * mass is below the product of the primes: recombine it
-    modulus = math.prod(primes)
-    value = sum(r * bound * (modulus // p) * pow(modulus // p, -1, p)
-                for r, p in zip(corner.tolist(), primes)) % modulus
-    if value > bound:
-        raise IntegrityError("box mass recombined above 1")
-    return Fraction(value, bound)
+    return Residues(primes).fraction(_residue_table(q, n, k)[caps], bound)
 
 
 def deviation_poly(q: int, n: int, k: int, grid_step,
@@ -483,7 +438,7 @@ def deviation_poly(q: int, n: int, k: int, grid_step,
     points = rect_grid(k, step)
     alpha = tuple(1.0 / k for _ in range(k))
     limits = [cdf(alpha, tuple(float(c) for c in u), 1e-9) for u in points]
-    corners = _corner_table(q, n, k, _Floats(n + 1))[..., 0].real
+    corners = _corner_table(q, n, k, Floats())[..., 0].real
     return deviation_report(
         "polys", n, k, f"q{q}-uniform", step, points,
         [float(corners[tuple(math.floor(n * c) for c in u)])

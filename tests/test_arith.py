@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirlaw.arith import (BUILTIN_MODELS, build_spf_sieve, compositions,
-                          factorize, least_prime_powers, local_g_sum,
-                          model_coprime, model_residues, model_tau_weights,
-                          model_two_squares, model_uniform,
+from dirlaw.arith import (BUILTIN_MODELS, Residues, build_spf_sieve,
+                          compositions, factorize, least_prime_powers,
+                          local_g_sum, model_coprime, model_residues,
+                          model_tau_weights, model_two_squares, model_uniform,
                           multiplicative_table, parse_model, primes_up_to,
                           sample_factorization, smallest_prime_factor, tau_k,
-                          tau_real, total_g)
-from dirlaw.errors import DomainError, ResourceError
+                          tau_real, total_g, word_primes)
+from dirlaw.errors import DomainError, IntegrityError, ResourceError
 
 
 def _divisors(n):
@@ -94,6 +94,25 @@ def test_primes_up_to_matches_trial_division():
         return m >= 2 and all(m % p for p in range(2, int(m ** 0.5) + 1))
 
     assert primes_up_to(1000) == [m for m in range(2, 1001) if is_prime(m)]
+
+
+def test_word_primes_and_the_recombination_guard():
+    bound = 10 ** 30
+    primes = word_primes(7, bound)
+    assert all(p % 7 == 1 and smallest_prime_factor(p) == p < 1 << 26
+               for p in primes)
+    assert math.prod(primes[:-1]) <= bound < math.prod(primes)
+    assert primes[0] not in word_primes(7, bound, skip=primes[0])
+    ring = Residues(primes)
+    assert ring.fraction(ring.frac(2, 3), 3) == Fraction(2, 3)
+    assert ring.fraction(ring.red(ring.frac(1, 3) * 3), 3) == 1
+    # 4/3 and -1/3 have bound * V = 4 and -1, outside [0, 3]
+    for num in (4, -1):
+        with pytest.raises(IntegrityError, match="recombined above"):
+            ring.fraction(ring.frac(num, 3), 3)
+    # about 4 primes = 1 (mod 2^20) lie in [2^25, 2^26)
+    with pytest.raises(ResourceError, match="too few word primes"):
+        word_primes(1 << 20, 1 << 200)
 
 
 @pytest.mark.parametrize("name,k", [("uniform", 2), ("uniform", 3),

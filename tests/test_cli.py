@@ -56,7 +56,7 @@ def test_polys_exact_example(capsys):
                              "2", "--k", "2", "--u", "1/2")
         assert code == 0 and Fraction(out.strip()) \
             == Fraction(15 * q + 1, 24 * q), err
-        floats = polyfield._corner_table(q, 2, 2, polyfield._Floats(3))
+        floats = polyfield._corner_table(q, 2, 2, polyfield.Floats())
         assert abs(float(Fraction(out.strip())) - floats[1, 0].real) <= 1e-15
 
 

@@ -1,16 +1,16 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirlaw import perms
 from dirlaw.arith import rising_binoms
 from dirlaw.errors import DomainError
-from dirlaw.perms import (_kronecker, build_stirling, cycle_types,
-                          deviation_perm, lhs_perm_brute, lhs_perm_exact,
-                          mean_tau_alpha, stirling_first)
+from dirlaw.perms import (build_stirling, cycle_types, deviation_perm,
+                          lhs_perm_brute, lhs_perm_exact, mean_tau_alpha,
+                          stirling_first)
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
@@ -192,34 +192,15 @@ def test_exact_equals_brute_k5_k6(n, k):
             lhs_perm_brute(n, k, u[:k - 1]), (n, k, u)
 
 
-def object_series(values):
-    return np.array([int(v) for v in values], dtype=object)
-
-
-@pytest.mark.parametrize("a, b", [
-    ([7, 0, 5], [1, 2, 3, 4, 5, 6]),
-    ([2 ** 64 + 3], [5, 2 ** 90, 0, 1]),            # cap 0: one term
-    ([0, 0], [0, 1]),
-    ([1], [2 ** 8 - 1] * 3),
-])
-def test_kronecker_matches_object_convolve(a, b):
-    a, b = object_series(a), object_series(b)
-    got = _kronecker(a, b)
-    want = np.convolve(a, b)
-    assert got.dtype == object and len(got) == len(want)
-    assert all(type(g) is int for g in got)
-    assert list(got) == list(want)
-
-
-def test_kronecker_slot_is_tight():
-    # 3 terms of 2^20 - 1 against 2^19 - 1: the middle coefficients are
-    # 3 (2^20 - 1)(2^19 - 1), which needs all 20 + 19 + bits(3) = 41
-    # bits of the slot.  41 = 8 * 5 + 1, so a slot one bit narrower
-    # rounds to 5 bytes and would carry into the next coefficient.
-    a = object_series([2 ** 20 - 1] * 3)
-    b = object_series([2 ** 19 - 1] * 8)
-    want = np.convolve(a, b)
-    slot = (max(a).bit_length() + max(b).bit_length()
-            + len(a).bit_length())
-    assert slot == max(want).bit_length() == 41
-    assert list(_kronecker(a, b)) == list(want)
+@pytest.mark.parametrize("k", [5, 6])
+def test_largest_exact_bound_matches_the_float_chain(k):
+    # n = 300 is the last exact n: D = k^n n! needs 106 rings at k = 5
+    # and 109 at k = 6
+    n = 300
+    assert lhs_perm_exact(n, k, (Fraction(1),) * (k - 1)) == Fraction(1)
+    for u in K56_CORNERS:
+        u = u[:k - 1]
+        exact = lhs_perm_exact(n, k, u)
+        assert isinstance(exact, Fraction)
+        floats = perms._corner(n, k, perms._caps(n, k, u), False)
+        assert abs(float(exact) - floats) <= 1e-14, (k, u)

@@ -290,7 +290,7 @@ def test_both_rings_match_the_partition_recursion(q, k, data):
                             * (k - 1)))
     exact = exact_lhs_poly(q, n, k, u)
     assert exact == oracle_lhs(q, n, k, tensors, u)
-    floats = polyfield._corner_table(q, n, k, polyfield._Floats(n + 1))
+    floats = polyfield._corner_table(q, n, k, polyfield.Floats())
     caps = tuple(math.floor(n * c) for c in u)
     assert abs(Fraction(floats[caps + (0,)].real) - exact) <= 1e-15
     assert exact_lhs_poly(q, n, k, (1,) * (k - 1)) == 1
@@ -299,7 +299,7 @@ def test_both_rings_match_the_partition_recursion(q, k, data):
 @pytest.mark.parametrize("q,n,k", [(2, 400, 2), (10007, 100, 3)])
 def test_full_box_is_one_at_large_n(q, n, k):
     # the float path far beyond any enumeration of q^n polynomials
-    table = polyfield._corner_table(q, n, k, polyfield._Floats(n + 1))
+    table = polyfield._corner_table(q, n, k, polyfield.Floats())
     assert abs(table[(n,) * (k - 1) + (0,)] - 1) <= 1e-12
 
 
@@ -311,7 +311,7 @@ def test_float_path_tends_to_perms_as_q_grows():
     perm = [float(lhs_perm_exact(n, k, u)) for u in points]
     gaps = {}
     for q in (101, 10007, 1000003):
-        table = polyfield._corner_table(q, n, k, polyfield._Floats(n + 1))
+        table = polyfield._corner_table(q, n, k, polyfield.Floats())
         gaps[q] = max(abs(table[math.floor(n * u[0]), 0].real - want)
                       for u, want in zip(points, perm))
     scaled = [q * gap for q, gap in gaps.items()]

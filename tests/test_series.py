@@ -92,6 +92,22 @@ def test_euler_product_matches_direct_sum(k, s, nmax, pmax, vmax,
     assert abs(euler - direct) <= tail_d + tail_e
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), data=st.data())
+def test_euler_product_matches_direct_sum_property(k, data, sieve_small):
+    # real points, each coordinate on its own; v_max from the smallest
+    # one that certifies the sub-1e-15 local tail, p_max from 1, where
+    # the tail takes its small-prime branch
+    point = tuple(data.draw(st.lists(st.floats(1.6, 4.0), min_size=k,
+                                     max_size=k)))
+    nmax = data.draw(st.integers(1, {1: 2000, 2: 300, 3: 40}[k]))
+    pmax = data.draw(st.integers(1, 500))
+    vmax = data.draw(st.integers(math.ceil(50 / min(point)), 40))
+    direct, tail_d = d_direct(point, k, nmax, sieve_small)
+    euler, tail_e = d_euler(point, k, pmax, vmax)
+    assert abs(euler - direct) <= tail_d + tail_e
+
+
 def test_complex_point_is_finite(sieve_small):
     point = (2.0 + 0.7j, 2.5 - 0.3j)
     val, tail = d_direct(point, 2, 500, sieve_small)
