@@ -203,6 +203,10 @@ class Residues:
     def __init__(self, primes: tuple[int, ...]):
         self.primes = primes
         self.p = np.array(primes, dtype=np.int64)
+        self.modulus = math.prod(primes)
+        # the CRT weights (M / p) ((M / p)^-1 mod p), M = ``modulus``
+        self.crt = [self.modulus // p * pow(self.modulus // p, -1, p)
+                    for p in primes]
 
     def frac(self, num: int, den: int) -> np.ndarray:
         return np.array([num % p * pow(den % p, -1, p) % p
@@ -214,9 +218,8 @@ class Residues:
     def fraction(self, residues: np.ndarray, bound: int) -> Fraction:
         """The V in [0, 1] with these residues, one per ring, by the Chinese
         remainder theorem: bound * V is an integer below their product."""
-        modulus = math.prod(self.primes)
-        value = sum(r * bound * (modulus // p) * pow(modulus // p, -1, p)
-                    for r, p in zip(residues.tolist(), self.primes)) % modulus
+        value = bound * sum(r * w for r, w in
+                            zip(residues.tolist(), self.crt)) % self.modulus
         if value > bound:
             raise IntegrityError("residues recombined above their bound")
         return Fraction(value, bound)

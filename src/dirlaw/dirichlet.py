@@ -180,8 +180,10 @@ def _betainc(a: float, b: float, x: np.ndarray) -> np.ndarray:
     if a <= 1.0 and b <= 1.0:
         lo = x <= 0.5
         out = np.empty_like(x)
-        out[lo] = _power_series(a, b, x[lo])
-        out[~lo] = 1.0 - _power_series(b, a, 1.0 - x[~lo])
+        if lo.any():
+            out[lo] = _power_series(a, b, x[lo])
+        if not lo.all():
+            out[~lo] = 1.0 - _power_series(b, a, 1.0 - x[~lo])
         return out
     y = 1.0 - x
     lam = _lambda(a, b, x)

@@ -143,6 +143,7 @@ def _axis_powers(s: complex, n_max: int, real_point: bool) -> np.ndarray:
 
 _BLOCK_CELLS = 1 << 20      # most cells of one prefix's block of rows
 _STACK_CELLS = 1 << 18      # most cells of a block of stacked prefixes
+_SUM_CELLS = 1 << 16        # most cells summed at once: 512 KB stay in cache
 
 
 def tau_box_sum(axes, sieve: SpfSieve) -> complex:
@@ -153,7 +154,10 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
     each row's fsum over n_k of (c * a_k(n_k)) / tau_k, with
     c = 1.0 * a_1(n_1) * ... * a_{k-1}(n_{k-1}) left to right, real and
     imaginary parts apart.  Exact rounding frees it from the row order:
-    it is, bit for bit, a plain loop with the same bracket.
+    it is, bit for bit, a plain loop with the same bracket.  The rows of
+    a block are summed at once by ``_row_sums``, whose certificate makes
+    each sum fsum's correctly rounded one; rows it cannot certify go to
+    fsum itself.
 
     The rows a = n_{k-1} by the columns b = n_k form one prefix
     n_1 ... n_{k-2}.  When two or more prefixes fit in ``_STACK_CELLS``
@@ -209,12 +213,67 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
                                  for ci in cs])
                 terms = np.multiply.outer(coef, last).reshape(-1, n_cols)
                 terms /= block.reshape(-1, n_cols)
-                # memoryview hands fsum one float at a time: no row list
-                re_rows += [math.fsum(memoryview(row)) for row in terms.real]
+                re_rows += _row_sums(terms.real)
                 if np.iscomplexobj(terms):
-                    im_rows += [math.fsum(memoryview(row))
-                                for row in terms.imag]
+                    im_rows += _row_sums(terms.imag)
     return complex(math.fsum(re_rows), math.fsum(im_rows) if im_rows else 0.0)
+
+
+def _row_sums(rows: np.ndarray) -> list[float]:
+    """``math.fsum`` of every row of the 2-D float array, bit for bit,
+    from ``_certified_sums`` on at most ``_SUM_CELLS`` cells at a time."""
+    step = max(1, _SUM_CELLS // rows.shape[1])
+    out: list[float] = []
+    for lo in range(0, len(rows), step):
+        out += _certified_sums(rows[lo:lo + step])
+    return out
+
+
+def _certified_sums(rows: np.ndarray) -> list[float]:
+    """Each row's correctly rounded sum, as ``math.fsum`` returns it.
+
+    Take a row x_1..x_n with max |x_i| < 2^e, and sigma = 2^(e + M) with
+    2^M > 2n.  Then q_i = fl(sigma + x_i) - sigma is exact and a multiple
+    of 2^-53 sigma, and r_i = x_i - q_i is the exact rounding error of
+    sigma + x_i, |r_i| <= 2^-53 sigma (ExtractVector of Rump, Ogita and
+    Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31, 2008).  Every partial sum of the q_i is a
+    multiple of 2^-53 sigma below sigma, so hi = fl(sum q_i) is exact in
+    any order.  E = fl(sum r_i) lies within gamma_(n-1) sum |r_i|
+    < 1.01 n^2 2^-106 sigma of sum r_i (Higham, Accuracy and Stability,
+    2nd ed., section 4.2), and B = n^2 2^-105 sigma, at least 2^-1074,
+    bounds that.  So with (res, t) = TwoSum(hi, E) the row sums to within
+    B of res + t, and res is its correctly rounded value once
+    [res + t - B, res + t + B] lies strictly inside res's rounding
+    interval: half the gap to each neighbour of res.
+
+    fl(t +- B) rounds monotonically, and t +- B is a multiple of 2^-1074,
+    so comparing 2 fl(t +- B) with the gaps is as strict as the exact test.
+    The rows that fail it go to ``math.fsum``, and they include the rows
+    that need fsum's own handling.  fsum can overflow part way only where
+    sum |x_i| nears 2^1023, and then sigma > 2 sum |x_i| is inf; that row,
+    and a row with an inf or a nan, gets a nan res.  If |res| < 2^-1021, 0
+    included, the gaps are 2^-1074 <= B; fsum chooses a zero's sign.
+    """
+    n = rows.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1))[1]
+                         + n.bit_length() + 1)
+        q = rows + sigma[:, None]
+        q -= sigma[:, None]
+        hi = q.sum(axis=1)
+        total = np.subtract(rows, q, out=q).sum(axis=1)
+        bound = np.maximum(sigma * (n * n * 2.0 ** -105), 5e-324)
+        res = hi + total
+        back = res - hi
+        t = (hi - (res - back)) + (total - back)
+        ok = (2.0 * (t + bound) < np.nextafter(res, np.inf) - res) \
+            & (2.0 * (t - bound) > np.nextafter(res, -np.inf) - res)
+    out = res.tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        # memoryview hands fsum one float at a time: no row list
+        out[i] = math.fsum(memoryview(rows[i]))
+    return out
 
 
 def _vp(p: int, lo: int, hi: int) -> np.ndarray:

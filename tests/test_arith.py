@@ -115,6 +115,31 @@ def test_word_primes_and_the_recombination_guard():
         word_primes(1 << 20, 1 << 200)
 
 
+def crt_per_call(residues, primes, bound):
+    """bound * V mod M, with the CRT weights formed on every call."""
+    modulus = math.prod(primes)
+    return sum(r * bound * (modulus // p) * pow(modulus // p, -1, p)
+               for r, p in zip(residues, primes)) % modulus
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.sampled_from([1, 2, 7, 60]), bound=st.integers(1, 10 ** 60),
+       data=st.data())
+def test_fraction_matches_the_per_call_crt(m, bound, data):
+    ring = Residues(word_primes(m, bound))
+    if data.draw(st.booleans()):
+        residues = ring.frac(data.draw(st.integers(0, bound)), bound)
+    else:
+        residues = np.array([data.draw(st.integers(0, p - 1))
+                             for p in ring.primes], dtype=np.int64)
+    value = crt_per_call(residues.tolist(), ring.primes, bound)
+    if value > bound:
+        with pytest.raises(IntegrityError, match="recombined above"):
+            ring.fraction(residues, bound)
+    else:
+        assert ring.fraction(residues, bound) == Fraction(value, bound)
+
+
 @pytest.mark.parametrize("name,k", [("uniform", 2), ("uniform", 3),
                                     ("squarefree", 2), ("two-squares", 2),
                                     ("coprime", 2), ("nested", 3)])

@@ -227,6 +227,80 @@ def test_tau_box_sum_stacks_some_prefixes(axes, data, sieve_small):
             == plain_box_sum(axes, sieve_small)
 
 
+@st.composite
+def fsum_rows(draw, n):
+    """One row of n floats whose correct rounding is hard to get right."""
+    kind = draw(st.sampled_from(["mixed", "tie", "power", "zero", "cancel"]))
+    if kind == "mixed":     # subnormal up to about 2^1000, either sign
+        return [math.ldexp(m, e) for m, e in zip(
+            draw(st.lists(st.integers(-2 ** 53, 2 ** 53), min_size=n,
+                          max_size=n)),
+            draw(st.lists(st.integers(-1126, 947), min_size=n,
+                          max_size=n)))]
+    if kind == "zero":
+        return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n,
+                             max_size=n))
+    # a base b, a term h, a nudge far below them and pairs +-y that cancel
+    ys = draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=True),
+                       min_size=(n - 3) // 2, max_size=(n - 3) // 2))
+    if kind == "cancel":
+        b, h = 0.0, 0.0
+    elif kind == "tie":     # b + h halfway between b and a neighbour
+        b = draw(st.floats(1e-300, 1e300)) * draw(st.sampled_from([1, -1]))
+        h = draw(st.sampled_from([1, -1])) * math.ulp(b) / 2
+        if draw(st.booleans()):                 # below a power of two
+            b = math.copysign(2.0 ** math.frexp(b)[1], b)
+            h = -math.copysign(math.ulp(b) / 4, b)
+    else:                   # b + h a power of two, or just next to one
+        b = 2.0 ** draw(st.integers(-1000, 1000))
+        h = draw(st.sampled_from([0.0, 1.0, -1.0])) * math.ulp(b) / 8
+    nudge = draw(st.sampled_from([0.0, 1.0, -1.0])) * math.ulp(h) / 2 ** 40
+    row = [b, h, nudge] + ys + [-y for y in ys]
+    row += [0.0] * (n - len(row))
+    return draw(st.permutations(row))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(3, 40)),
+       cells=st.sampled_from([1, 7, 1 << 16]))
+def test_row_sums_equal_fsum_bitwise(data, shape, cells):
+    """The certified kernel returns fsum's bits on every row, including
+    the strided real and imaginary views of a complex block."""
+    m, n = shape
+    z = np.empty((m, n), dtype=complex)
+    z.real, z.imag = (data.draw(st.lists(fsum_rows(n), min_size=m,
+                                         max_size=m)) for _ in range(2))
+    with mock.patch.object(series, "_SUM_CELLS", cells):
+        for rows in (z.real.copy(), z.real, z.imag):
+            got = np.array(series._row_sums(rows))
+            want = np.array([math.fsum(row) for row in rows])
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
+def test_row_sums_overflow_as_fsum():
+    """Pairs of halves never overflow here, but fsum's running sum does."""
+    big = sys.float_info.max
+    rows = np.array([[1.0, 2.0, 3.0, 4.0], [big, 1e300, -big, 1.0]])
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum(rows[1])
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        series._row_sums(rows)
+
+
+def test_row_sums_certify_a_benchmark_block():
+    """No row of a positive block shaped like the benchmark's falls back
+    to fsum, so a certificate that rejected every row would fail here.
+    The 2^-200 column keeps each sum off a rounding tie, which only fsum
+    decides."""
+    rng = np.random.default_rng(7)
+    rows = rng.random((2184, 120)) / rng.integers(1, 50, (2184, 120))
+    rows[:, 0] = 2.0 ** -200
+    with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+        got = series._row_sums(rows)
+    assert fsum.call_count == 0
+    assert got == [math.fsum(row) for row in rows]
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(k=st.integers(1, 3), n_max=st.integers(1, 40),
        sigma=st.floats(1.5, 4.0))
