@@ -5,15 +5,14 @@ identities behind them.
 """
 
 from .arith import (BUILTIN_MODELS, FactoredInteger, SpfSieve, WeightModel,
-                    build_spf_sieve, compositions, factorize, local_g_sum,
-                    model_coprime, model_nested, model_residues,
-                    model_squarefree, model_tau_weights, model_two_squares,
-                    model_uniform, parse_model, primes_up_to,
-                    sample_factorization, tau_k, tau_real, total_g)
+                    build_spf_sieve, compositions, factorize, model_coprime,
+                    model_nested, model_residues, model_squarefree,
+                    model_tau_weights, model_two_squares, model_uniform,
+                    parse_model, primes_up_to, sample_factorization, tau_k)
 from .caches import get_irreducibles, get_spf_sieve
 from .dirichlet import (DirichletParams, RectQuery, SimplexPoint, cdf,
-                        cdf_arcsine, cdf_monte_carlo, density, sample,
-                        sample_many, simplex_mass)
+                        cdf_arcsine, cdf_monte_carlo, density, sample_many,
+                        simplex_mass)
 from .errors import (DirlawError, DomainError, IntegrityError,
                      ResourceError, SingularityError, UnsupportedError)
 from .integers import (HistogramGrid, accumulate_histogram,
@@ -22,10 +21,8 @@ from .integers import (HistogramGrid, accumulate_histogram,
 from .perms import (CycleType, StirlingTable, build_stirling, cycle_types,
                     deviation_perm, lhs_perm_brute, lhs_perm_exact,
                     mean_tau_alpha, stirling_first)
-from .polyfield import (FactoredPoly, IrreducibleTable, PolyQ,
-                        build_irreducibles, deviation_poly, exact_lhs_poly,
-                        factor_poly, irreducible_count, poly_divrem,
-                        poly_from_code, poly_mul)
+from .polyfield import (IrreducibleTable, build_irreducibles, deviation_poly,
+                        exact_lhs_poly, irreducible_count)
 from .report import DeviationReport, convergence_csv, rect_grid, report_csv
 from .series import (SeriesPoint, a0_local_check, d_direct, d_euler,
                      prime_sum_diag)
@@ -34,23 +31,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_MODELS", "CycleType", "DeviationReport", "DirichletParams",
-    "DirlawError", "DomainError", "FactoredInteger", "FactoredPoly",
-    "HistogramGrid", "IntegrityError", "IrreducibleTable", "PolyQ",
-    "RectQuery", "ResourceError", "SeriesPoint", "SimplexPoint",
-    "SingularityError", "SpfSieve", "StirlingTable", "UnsupportedError",
-    "WeightModel", "a0_local_check", "accumulate_histogram",
-    "build_irreducibles", "build_spf_sieve", "build_stirling", "cdf",
-    "cdf_arcsine", "cdf_monte_carlo", "compositions", "convergence_csv",
-    "convergence_study", "cycle_types", "d_direct", "d_euler", "density",
-    "deviation_perm", "deviation_poly", "empirical_cdf", "exact_lhs",
-    "exact_lhs_poly", "factor_poly", "factorize", "get_irreducibles",
-    "get_spf_sieve", "irreducible_count", "lhs_perm_brute",
-    "lhs_perm_exact", "local_g_sum", "mc_lhs", "mean_tau_alpha",
-    "model_coprime", "model_nested", "model_residues", "model_squarefree",
-    "model_tau_weights", "model_two_squares", "model_uniform",
-    "parse_model", "poly_divrem", "poly_from_code", "poly_mul",
-    "prime_sum_diag", "primes_up_to", "rect_grid", "report_csv", "sample",
-    "sample_factorization", "sample_many", "simplex_mass",
-    "stirling_first", "sup_deviation", "tau_k", "tau_real", "total_g",
+    "DirlawError", "DomainError", "FactoredInteger", "HistogramGrid",
+    "IntegrityError", "IrreducibleTable", "RectQuery", "ResourceError",
+    "SeriesPoint", "SimplexPoint", "SingularityError", "SpfSieve",
+    "StirlingTable", "UnsupportedError", "WeightModel", "a0_local_check",
+    "accumulate_histogram", "build_irreducibles", "build_spf_sieve",
+    "build_stirling", "cdf", "cdf_arcsine", "cdf_monte_carlo", "compositions",
+    "convergence_csv", "convergence_study", "cycle_types", "d_direct",
+    "d_euler", "density", "deviation_perm", "deviation_poly", "empirical_cdf",
+    "exact_lhs", "exact_lhs_poly", "factorize", "get_irreducibles",
+    "get_spf_sieve", "irreducible_count", "lhs_perm_brute", "lhs_perm_exact",
+    "mc_lhs", "mean_tau_alpha", "model_coprime", "model_nested",
+    "model_residues", "model_squarefree", "model_tau_weights",
+    "model_two_squares", "model_uniform", "parse_model", "prime_sum_diag",
+    "primes_up_to", "rect_grid", "report_csv", "sample_factorization",
+    "sample_many", "simplex_mass", "stirling_first", "sup_deviation", "tau_k",
     "weighted_sum_S", "__version__",
 ]

@@ -24,7 +24,6 @@ from .errors import DomainError, IntegrityError, ResourceError
 
 _SIEVE_LIMIT = 100_000_000
 _TRIAL_LIMIT = 10 ** 12          # at most 10^6 trial divisions
-_MAX_LOCAL_V = 64
 
 
 @dataclass(frozen=True)
@@ -146,25 +145,12 @@ def factorize(n: int, sieve: SpfSieve) -> FactoredInteger:
 
 def tau_k(fn: FactoredInteger, k: int) -> int:
     """Number of ordered k-tuples with product n: prod C(v+k-1, k-1).
-    Also counts monic tuples for a ``polyfield.FactoredPoly``."""
+    It reads only the exponents of ``fn.factors``."""
     if k < 1:
         raise DomainError("k must be at least 1")
     out = 1
     for _, v in fn.factors:
         out *= math.comb(v + k - 1, k - 1)
-    return out
-
-
-def tau_real(fn: FactoredInteger, lam) -> "Fraction | float":
-    """Generalized divisor weight prod_p prod_{j<=v} (lam + j - 1) / j.
-
-    Exact when ``lam`` is a Fraction, floating otherwise.
-    """
-    if lam <= 0:
-        raise DomainError("the weight parameter must be positive")
-    out = Fraction(1) if isinstance(lam, Fraction) else 1.0
-    for _, v in fn.factors:
-        out = out * rising_binoms(lam, v)[v]
     return out
 
 
@@ -260,8 +246,7 @@ class WeightModel:
     ``f_local(p, v)`` is the weight of p^v inside f; ``g_local(p, comp)``
     the weight of a local exponent composition inside G.  ``alpha_exact``
     is the limiting Dirichlet parameter vector as exact rationals, with
-    ``theta`` its total.  ``exact`` marks models whose local weights are
-    rationals.
+    ``theta`` its total.
 
     ``local_class`` maps an int64 array of primes to an integer array of
     class keys.  Primes with equal keys must have equal ``f_local`` and
@@ -274,7 +259,6 @@ class WeightModel:
     f_local: Callable[[int, int], object]
     g_local: Callable[[int, tuple[int, ...]], object]
     alpha_exact: tuple[Fraction, ...]
-    exact: bool = True
     f_bounded_by_one: bool = True
     local_class: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -299,38 +283,6 @@ class WeightModel:
             if out == 0:
                 return out
         return out
-
-
-def local_g_sum(model: WeightModel, p: int, v: int):
-    """Sum of g_local over all compositions of v at p (the local G mass)."""
-    if v < 0 or v > _MAX_LOCAL_V:
-        raise DomainError(f"local exponent must lie in [0, {_MAX_LOCAL_V}]")
-    return sum(model.g_local(p, comp) for comp in _comp_iter(v, model.k))
-
-
-def _comp_iter(v: int, k: int):
-    if v <= 16:
-        return compositions(v, k)
-    return _comp_gen(v, k)
-
-
-def _comp_gen(v: int, k: int):
-    if k == 1:
-        yield (v,)
-        return
-    for a in range(v + 1):
-        for rest in _comp_gen(v - a, k - 1):
-            yield (a,) + rest
-
-
-def total_g(model: WeightModel, fn: FactoredInteger):
-    """G summed over every ordered k-tuple with product n (multiplicative)."""
-    out = 1
-    for p, v in fn.factors:
-        out = out * local_g_sum(model, p, v)
-        if out == 0:
-            return out
-    return out
 
 
 # ----------------------------------------------------------------- models

@@ -443,12 +443,6 @@ def simplex_mass(params, tol: float = 1e-9) -> float:
     return _cdf_cached(alpha, tuple(1.0 for _ in alpha[:-1]), tol)
 
 
-def sample(params, seed: int) -> SimplexPoint:
-    """One draw: independent Gamma(alpha_i, 1) variates, normalized."""
-    pt = sample_many(params, 1, seed)[0]
-    return SimplexPoint(tuple(float(c) for c in pt))
-
-
 def sample_many(params, n: int, seed: int) -> np.ndarray:
     """``n`` draws as an (n, k) array; deterministic for a fixed seed."""
     alpha = _as_alpha(params)

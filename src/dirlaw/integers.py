@@ -342,18 +342,17 @@ def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
               exact: bool | None = None):
     """L(x, u) by full enumeration; Fraction in exact mode, float else.
 
-    Exact mode needs rational corners, a rational-valued model and
-    x <= 1e7; it resolves each boundary d <= n^(u) by exact integer
-    power comparison.  The floating path walks the histogram's tuples
-    and uses the tie-guarded logarithm comparison instead.
+    Exact mode needs rational corners and x <= 1e7; it resolves each
+    boundary d <= n^(u) by exact integer power comparison.  The floating
+    path walks the histogram's tuples and uses the tie-guarded logarithm
+    comparison instead.
     """
     _check_engine_args(x, k, model, sieve)
     u = rect_fractions(rect, k)
     if exact is None:
-        exact = model.exact and x <= 100_000
-    if exact and (not model.exact or x > _EXACT_X_LIMIT):
-        raise UnsupportedError(
-            "exact mode needs a rational model and x <= 1e7")
+        exact = x <= 100_000
+    if exact and x > _EXACT_X_LIMIT:
+        raise UnsupportedError("exact mode needs x <= 1e7")
 
     if exact:
         num = Fraction(0)

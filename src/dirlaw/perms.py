@@ -191,7 +191,8 @@ def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
 
     Counts, per type, the assignments of (labeled) cycles to k ordered
     blocks whose first k-1 block sizes respect the caps, via dynamic
-    programming over partial size vectors; exact rationals throughout.
+    programming over partial size vectors, and weights each type by its
+    ``class_size`` / (n! k^cycle_count); exact rationals throughout.
     """
     if n > _BRUTE_MAX_N:
         raise DomainError(f"brute force needs n <= {_BRUTE_MAX_N}")
@@ -210,12 +211,9 @@ def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
                                 + sizes[i + 1:]
                             nxt[grown] = nxt.get(grown, 0) + cnt
                 states = nxt
-        good = sum(states.values())
-        denom = k ** ct.cycle_count
-        for length, mult in ct.partition:
-            denom *= length ** mult * math.factorial(mult)
-        total += Fraction(good, denom)
-    return total
+        total += Fraction(sum(states.values()) * ct.class_size,
+                          k ** ct.cycle_count)
+    return total / math.factorial(n)
 
 
 def deviation_perm(n: int, k: int, grid_step) -> DeviationReport:

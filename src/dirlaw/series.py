@@ -23,9 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import (FactoredInteger, SpfSieve, WeightModel, factorize,
-                    least_prime_powers, local_g_sum, multiplicative_table,
-                    primes_up_to, smallest_prime_factor)
+from .arith import (SpfSieve, WeightModel, compositions, factorize,
+                    least_prime_powers, multiplicative_table, primes_up_to,
+                    smallest_prime_factor)
 from .errors import DomainError, IntegrityError, ResourceError
 from .quadrature import BERNOULLI
 
@@ -160,19 +160,19 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
     fsum itself.
 
     The rows a = n_{k-1} by the columns b = n_k form one prefix
-    n_1 ... n_{k-2}.  When two or more prefixes fit in ``_STACK_CELLS``
-    cells, blocks of as many whole prefixes n_{k-2} as fit stack into one
-    (prefix, a, b) array, and only n_1 ... n_{k-3} loop in Python.  Else
-    every prefix loops in Python, its rows in blocks of at most
-    ``_BLOCK_CELLS`` cells (or one row).
+    n_1 ... n_{k-2}.  Blocks of as many whole prefixes n_{k-2} as fit in
+    ``_STACK_CELLS`` cells (at least one) stack into one (prefix, a, b)
+    array, and only n_1 ... n_{k-3} loop in Python.  A prefix too big for
+    ``_BLOCK_CELLS`` splits its rows into blocks of at most that many
+    cells (or one row).  A box of fewer than three axes gets leading
+    axes [1.0], so n_{k-2} always exists; tau_k keeps the caller's k.
     """
     k = len(axes)
-    if k == 1:
-        axes = [[1.0], *axes]             # one row, with c = 1.0
+    axes = [[1.0]] * (3 - k) + list(axes)
     sizes = [len(ax) for ax in axes]
     if max(sizes) > sieve.limit:
         raise DomainError("sieve does not cover the box")
-    *outer, mid = [np.asarray(ax).tolist() for ax in axes[:-1]]
+    *outer, stack, mid = [np.asarray(ax).tolist() for ax in axes[:-1]]
     last = np.asarray(axes[-1])
     n_rows, n_cols = sizes[-2:]
     comb = _comb_weights(k, sum(n.bit_length() for n in sizes) + 1)
@@ -180,10 +180,9 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
     tau = multiplicative_table(comb[exponent], cofactor)
     primes = np.array(primes_up_to(max(sizes)), dtype=int)
     if n_rows * n_cols <= _BLOCK_CELLS:
-        per, step = _STACK_CELLS // (n_rows * n_cols), n_rows
+        per, step = max(1, _STACK_CELLS // (n_rows * n_cols)), n_rows
     else:
         per, step = 1, max(1, _BLOCK_CELLS // n_cols)
-    stack = outer.pop() if k > 2 and min(per, sizes[-3]) > 1 else None
     re_rows, im_rows = [], []
     for prefix in itertools.product(*(range(1, len(ax) + 1) for ax in outer)):
         c, exps = 1.0, {}
@@ -192,13 +191,12 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
             for p, v in factorize(n, sieve).factors:
                 exps[p] = exps.get(p, 0) + v
         tau_m = math.prod(comb[e] for e in exps.values())
-        # per block of prefixes n_{k-2}: their c, their range (none when
-        # they loop in Python) and tau_k(m n_{k-2})
-        blocks = [([c], [], tau_m)] if stack is None else [
-            ([c * a for a in stack[lo - 1:hi - 1]], [(lo, hi)],
-             _tau_extend(tau_m, [], exps, lo, hi, tau, comb, primes))
-            for lo, hi in ((lo, min(lo + per, len(stack) + 1))
-                           for lo in range(1, len(stack) + 1, per))]
+        # per block of prefixes n_{k-2}: their c, their range and
+        # tau_k(m n_{k-2})
+        blocks = [([c * a for a in stack[lo - 1:hi - 1]], [(lo, hi)],
+                   _tau_extend(tau_m, [], exps, lo, hi, tau, comb, primes))
+                  for lo, hi in ((lo, min(lo + per, len(stack) + 1))
+                                 for lo in range(1, len(stack) + 1, per))]
         for cs, ranges, tau_pre in blocks:
             for r_lo in range(1, n_rows + 1, step):
                 r_hi = min(r_lo + step, n_rows + 1)
@@ -473,9 +471,8 @@ def prime_sum_diag(model: WeightModel, j: int, s: complex,
     re_parts: list[float] = []
     im_parts: list[float] = []
     for p in primes_up_to(prime_max):
-        fp = FactoredInteger(p, ((p, 1),))
-        f = model.f_value(fp)
-        total = local_g_sum(model, p, 1)
+        f = model.f_local(p, 1)
+        total = sum(model.g_local(p, c) for c in compositions(1, model.k))
         fj = float(Fraction(f) * Fraction(model.g_local(p, unit))
                    / Fraction(total)) if total > 0 and f != 0 else 0.0
         term = (fj - alpha_j) * cmath.exp(-s * math.log(p))

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirlaw import integers
 from dirlaw.arith import (BUILTIN_MODELS, Residues, build_spf_sieve,
                           compositions, factorize, least_prime_powers,
-                          local_g_sum, model_coprime, model_residues,
-                          model_tau_weights, model_two_squares, model_uniform,
+                          model_coprime, model_residues, model_tau_weights,
+                          model_two_squares, model_uniform,
                           multiplicative_table, parse_model, primes_up_to,
                           sample_factorization, smallest_prime_factor, tau_k,
-                          tau_real, total_g, word_primes)
+                          word_primes)
 from dirlaw.errors import DomainError, IntegrityError, ResourceError
 
 
@@ -68,16 +69,6 @@ def test_smallest_prime_factor_guard():
     assert smallest_prime_factor(10 ** 12) == 2
     with pytest.raises(ResourceError, match="trial-division guard"):
         smallest_prime_factor(10 ** 12 + 1)
-
-
-def test_tau_real_extends_tau_k(sieve_small):
-    for n in (1, 2, 12, 360, 1024):
-        fn = factorize(n, sieve_small)
-        assert tau_real(fn, Fraction(2)) == tau_k(fn, 2)
-        assert tau_real(fn, Fraction(1)) == 1
-    fn4 = factorize(4, sieve_small)
-    # C(1/2 + 1, 2) = 3/8 at the prime square
-    assert tau_real(fn4, Fraction(1, 2)) == Fraction(3, 8)
 
 
 def test_compositions_count_and_sum():
@@ -144,7 +135,12 @@ def test_fraction_matches_the_per_call_crt(m, bound, data):
                                     ("squarefree", 2), ("two-squares", 2),
                                     ("coprime", 2), ("nested", 3)])
 def test_total_g_is_a_tuple_sum(name, k, sieve_small):
+    """G_total(n) of the walker's local tables against the sum of G over
+    every ordered k-tuple with product n, wherever f(n) > 0 (the tables
+    keep no tuples where f vanishes)."""
     model = parse_model(name, k)
+    ns = list(range(1, 37)) + [60, 64, 97]
+    _, f, g_total = _slots(model, ns, sieve_small)
 
     def tuple_splits(n, parts):
         if parts == 1:
@@ -154,8 +150,11 @@ def test_total_g_is_a_tuple_sum(name, k, sieve_small):
             for rest in tuple_splits(n // d, parts - 1):
                 yield (d,) + rest
 
-    for n in list(range(1, 37)) + [60, 64, 97]:
+    for n, f_n, g in zip(ns, f, g_total):
         fn = factorize(n, sieve_small)
+        assert f_n == model.f_value(fn)
+        if f_n == 0:
+            continue
         brute = 0
         for tup in tuple_splits(n, k):
             term = 1
@@ -163,7 +162,16 @@ def test_total_g_is_a_tuple_sum(name, k, sieve_small):
                 vp = tuple(_val(p, d) for d in tup)
                 term *= model.g_local(p, vp)
             brute += term
-        assert total_g(model, fn) == brute
+        if name == "nested":
+            assert math.isclose(g, brute, rel_tol=1e-15)
+        else:
+            assert g == brute
+
+
+def _slots(model, ns, sieve):
+    """``_LocalTables._slots`` on the n in ``ns``: entries, f, G_total."""
+    tables = integers._LocalTables(model, max(ns), sieve)
+    return tables._slots(np.array(ns))
 
 
 def _val(p, d):
@@ -192,12 +200,6 @@ def test_alpha_vectors_are_positive_with_theta_total():
     assert model_two_squares(2).theta == Fraction(1, 2)
 
 
-def test_local_g_sum_uniform_counts_compositions():
-    model = model_uniform(3)
-    for v in range(0, 6):
-        assert local_g_sum(model, 5, v) == math.comb(v + 2, 2)
-
-
 def test_two_squares_weights_live_on_representable_numbers(sieve_small):
     model = model_two_squares(2)
     reps = {a * a + b * b for a in range(0, 40) for b in range(0, 40)}
@@ -208,11 +210,10 @@ def test_two_squares_weights_live_on_representable_numbers(sieve_small):
 
 
 def test_coprime_pairs_constraint(sieve_small):
-    fn = factorize(12, sieve_small)
     # without allowances each prime goes fully to one side: 2 per prime
-    assert total_g(model_coprime(2), fn) == 4
+    assert _slots(model_coprime(2), [12], sieve_small)[2][0] == 4
     # allowing the pair to share removes the constraint entirely
-    assert total_g(model_coprime(2, [(1, 2)]), fn) == 6
+    assert _slots(model_coprime(2, [(1, 2)]), [12], sieve_small)[2][0] == 6
     with pytest.raises(DomainError):
         model_coprime(2, [(1, 3)])
 

@@ -12,11 +12,12 @@ from dirlaw import polyfield
 from dirlaw.arith import compositions, tau_k
 from dirlaw.errors import DomainError, IntegrityError, ResourceError
 from dirlaw.perms import cycle_types, lhs_perm_exact
-from dirlaw.polyfield import (IrreducibleTable, PolyQ, build_irreducibles,
-                              deviation_poly, exact_lhs_poly, factor_poly,
-                              irreducible_count, poly_divrem, poly_from_code,
-                              poly_mul)
+from dirlaw.polyfield import (IrreducibleTable, build_irreducibles,
+                              deviation_poly, exact_lhs_poly,
+                              irreducible_count)
 from dirlaw.report import rect_grid
+from polyoracle import (PolyQ, factor_poly, poly_divrem, poly_from_code,
+                        poly_mul)
 
 
 def _random_poly(q, deg, rng):
