@@ -15,7 +15,6 @@ than a guessed tolerance.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import (SpfSieve, WeightModel, compositions, factorize,
-                    least_prime_powers, multiplicative_table, primes_up_to,
-                    smallest_prime_factor)
+# factorize is unused: perfbench/tracer.py wraps it (test_tracer.py)
+from .arith import factorize  # noqa: F401
+from .arith import (SpfSieve, WeightModel, compositions, least_prime_powers,
+                    multiplicative_table, primes_up_to, smallest_prime_factor)
 from .errors import DomainError, IntegrityError, ResourceError
 from .quadrature import BERNOULLI
 
@@ -141,8 +141,7 @@ def _axis_powers(s: complex, n_max: int, real_point: bool) -> np.ndarray:
 
 # ------------------------------------------------ the tau-weighted box sum
 
-_BLOCK_CELLS = 1 << 20      # most cells of one prefix's block of rows
-_STACK_CELLS = 1 << 18      # most cells of a block of stacked prefixes
+_BLOCK_CELLS = 1 << 18      # most cells of a block; about 26 B each at peak
 _SUM_CELLS = 1 << 16        # most cells summed at once: 512 KB stay in cache
 
 
@@ -150,71 +149,93 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
     """Sum of a_1(n_1) ... a_k(n_k) / tau_k(n_1 ... n_k) over the box
     n_j <= ``len(axes[j])``, where ``axes[j][i]`` is a_j(i + 1).
 
-    The value is the fsum over the outer tuples (n_1, ..., n_{k-1}) of
-    each row's fsum over n_k of (c * a_k(n_k)) / tau_k, with
+    The value is the fsum over the rows (n_1, ..., n_{k-1}) of each
+    row's fsum over n_k of (c * a_k(n_k)) / tau_k, with
     c = 1.0 * a_1(n_1) * ... * a_{k-1}(n_{k-1}) left to right, real and
     imaginary parts apart.  Exact rounding frees it from the row order:
-    it is, bit for bit, a plain loop with the same bracket.  The rows of
-    a block are summed at once by ``_row_sums``, whose certificate makes
-    each sum fsum's correctly rounded one; rows it cannot certify go to
-    fsum itself.
+    it is, bit for bit, a plain loop with the same bracket.  c is a
+    product of Python scalars (an object array), as in that loop: numpy
+    multiplies complex numbers apart from Python in the last bits, in
+    about half of all products.  c * a_k is numpy's, so a complex sum
+    may differ from the loop's in its last bits; a real one cannot.
 
-    The rows a = n_{k-1} by the columns b = n_k form one prefix
-    n_1 ... n_{k-2}.  Blocks of as many whole prefixes n_{k-2} as fit in
-    ``_STACK_CELLS`` cells (at least one) stack into one (prefix, a, b)
-    array, and only n_1 ... n_{k-3} loop in Python.  A prefix too big for
-    ``_BLOCK_CELLS`` splits its rows into blocks of at most that many
-    cells (or one row).  A box of fewer than three axes gets leading
-    axes [1.0], so n_{k-2} always exists; tau_k keeps the caller's k.
+    The rows, in lexicographic order, go in blocks of at most
+    ``_BLOCK_CELLS`` cells (or one row).  ``_tau_grid`` gives a block's
+    tau_k, and ``_row_sums`` sums its rows at once, with a certificate
+    that makes each sum fsum's correctly rounded one; rows it cannot
+    certify go to fsum itself.  A box of one axis gets a leading axis
+    [1.0]; tau_k keeps the caller's k.
     """
     k = len(axes)
-    axes = [[1.0]] * (3 - k) + list(axes)
+    axes = [[1.0]] * (2 - k) + list(axes)
     sizes = [len(ax) for ax in axes]
     if max(sizes) > sieve.limit:
         raise DomainError("sieve does not cover the box")
-    *outer, stack, mid = [np.asarray(ax).tolist() for ax in axes[:-1]]
+    outer = [np.asarray(ax).astype(object) for ax in axes[:-1]]
     last = np.asarray(axes[-1])
-    n_rows, n_cols = sizes[-2:]
     comb = _comb_weights(k, sum(n.bit_length() for n in sizes) + 1)
     _, exponent, cofactor = least_prime_powers(sieve, max(sizes))
-    tau = multiplicative_table(comb[exponent], cofactor)
-    primes = np.array(primes_up_to(max(sizes)), dtype=int)
-    if n_rows * n_cols <= _BLOCK_CELLS:
-        per, step = max(1, _STACK_CELLS // (n_rows * n_cols)), n_rows
-    else:
-        per, step = 1, max(1, _BLOCK_CELLS // n_cols)
+    tau_b = multiplicative_table(comb[exponent], cofactor)[1:sizes[-1] + 1]
+    n_rows, step = math.prod(sizes[:-1]), max(1, _BLOCK_CELLS // sizes[-1])
     re_rows, im_rows = [], []
-    for prefix in itertools.product(*(range(1, len(ax) + 1) for ax in outer)):
-        c, exps = 1.0, {}
-        for ax, n in zip(outer, prefix):
-            c = c * ax[n - 1]
-            for p, v in factorize(n, sieve).factors:
-                exps[p] = exps.get(p, 0) + v
-        tau_m = math.prod(comb[e] for e in exps.values())
-        # per block of prefixes n_{k-2}: their c, their range and
-        # tau_k(m n_{k-2})
-        blocks = [([c * a for a in stack[lo - 1:hi - 1]], [(lo, hi)],
-                   _tau_extend(tau_m, [], exps, lo, hi, tau, comb, primes))
-                  for lo, hi in ((lo, min(lo + per, len(stack) + 1))
-                                 for lo in range(1, len(stack) + 1, per))]
-        for cs, ranges, tau_pre in blocks:
-            for r_lo in range(1, n_rows + 1, step):
-                r_hi = min(r_lo + step, n_rows + 1)
-                left = _tau_extend(tau_pre, ranges, exps, r_lo, r_hi, tau,
-                                   comb, primes)
-                if left.max() * tau[1:n_cols + 1].max() >= 2.0 ** 53:
-                    raise ResourceError(
-                        "tau_k products exceed the exact float range")
-                block = _tau_extend(left, ranges + [(r_lo, r_hi)], exps, 1,
-                                    n_cols + 1, tau, comb, primes)
-                coef = np.array([[ci * a for a in mid[r_lo - 1:r_hi - 1]]
-                                 for ci in cs])
-                terms = np.multiply.outer(coef, last).reshape(-1, n_cols)
-                terms /= block.reshape(-1, n_cols)
-                re_rows += _row_sums(terms.real)
-                if np.iscomplexobj(terms):
-                    im_rows += _row_sums(terms.imag)
+    for lo in range(0, n_rows, step):
+        ns = np.unravel_index(np.arange(lo, min(lo + step, n_rows)),
+                              sizes[:-1])
+        c = 1.0
+        for ax, i in zip(outer, ns):
+            c = c * ax[i]
+        terms = np.multiply.outer(np.array(c.tolist()), last)
+        terms /= _tau_grid([i + 1 for i in ns], tau_b, comb, sieve.spf,
+                           exponent, cofactor)
+        re_rows += _row_sums(terms.real)
+        if np.iscomplexobj(terms):
+            im_rows += _row_sums(terms.imag)
     return complex(math.fsum(re_rows), math.fsum(im_rows) if im_rows else 0.0)
+
+
+def _tau_grid(ns, tau_b, comb, spf, exponent, cofactor) -> np.ndarray:
+    """tau_k(u b) for the rows u = n_1 ... n_{k-1}, where ``ns[j]`` holds
+    the n_j of every row, by the columns b = 1..len(tau_b), from
+    tau_b[b - 1] = tau_k(b), comb[v] = C(v + k - 1, k - 1), the sieve's
+    ``spf`` and the exponents and cofactors of ``least_prime_powers``.
+
+    Each n_j splits into its least prime powers, giving (row, p, v)
+    triples; summed per (p, row) they are the v_p(u) > 0.  The grid
+    starts as tau_k(u) tau_k(b).  At every prime p <= len(tau_b) that
+    divides some u, the cells of those rows at the columns p | b swap
+    comb[v_p(u)] comb[v_p(b)] for comb[v_p(u b)].  The cells are integers
+    below 2^53 (``ResourceError`` once tau_k(u) tau_k(b) may reach it)
+    that only shrink, so every float division and product is exact.
+    """
+    m = len(ns[0])
+    triples = []
+    for n in ns:
+        row = np.arange(m)
+        while len(n):
+            live = n > 1
+            row, n = row[live], n[live]
+            triples.append((row, spf[n], exponent[n]))
+            n = cofactor[n]
+    rows, ps, vs = map(np.concatenate, zip(*triples))
+    key, inv = np.unique(ps.astype(np.int64) * m + rows, return_inverse=True)
+    v = np.bincount(inv, weights=vs).astype(np.int64)
+    p, row = np.divmod(key, m)          # by prime, then by row
+    tau_u = np.ones(m)
+    np.multiply.at(tau_u, row, comb[v])
+    if tau_u.max() * tau_b.max() >= 2.0 ** 53:
+        raise ResourceError("tau_k products exceed the exact float range")
+    grid = np.multiply.outer(tau_u, tau_b)
+    cut = np.searchsorted(p, len(tau_b), "right")    # the p <= len(tau_b)
+    primes, first = np.unique(p[:cut], return_index=True)
+    for q, lo, hi in zip(primes.tolist(), first.tolist(),
+                         first[1:].tolist() + [cut]):
+        hot, v_u = row[lo:hi], v[lo:hi]
+        v_b = 1 + _vp(q, len(tau_b) // q)
+        cells = grid[hot, q - 1::q]
+        cells /= np.multiply.outer(comb[v_u], comb[v_b])
+        cells *= comb[np.add.outer(v_u, v_b)]
+        grid[hot, q - 1::q] = cells
+    return grid
 
 
 def _row_sums(rows: np.ndarray) -> list[float]:
@@ -274,71 +295,14 @@ def _certified_sums(rows: np.ndarray) -> list[float]:
     return out
 
 
-def _vp(p: int, lo: int, hi: int) -> np.ndarray:
-    """v_p(n) for n = lo..hi-1."""
-    v = np.zeros(hi - lo, dtype=np.int64)
+def _vp(p: int, n: int) -> np.ndarray:
+    """v_p(j) for j = 1..n."""
+    v = np.zeros(n, dtype=np.int64)
     q = p
-    while q < hi:
-        v[-lo % q::q] += 1
+    while q <= n:
+        v[q - 1::q] += 1
         q *= p
     return v
-
-
-def _trade(cells: np.ndarray, comb: np.ndarray, v_x, v_y):
-    """Swap comb[v_x[i]] comb[v_y[j]] for comb[v_x[i] + v_y[j]] in place."""
-    cells /= np.multiply.outer(comb[v_x], comb[v_y])
-    cells *= comb[np.add.outer(v_x, v_y)]
-
-
-def _tau_extend(cells, ranges, exps: dict[int, int], lo: int, hi: int,
-                tau, comb, primes: np.ndarray) -> np.ndarray:
-    """tau_k(u c) on the grid of ``cells`` by c = lo..hi-1 (a new last
-    axis), from cells = tau_k(u) at u = m c_1 ... c_d, where c_i runs
-    over ``ranges[i]`` = (lo_i, hi_i) and ``exps`` holds the prime
-    exponents of m.
-
-    The grid starts as tau_k(u) tau_k(c).  At every prime p that divides
-    some u and some c, the cells with p | c swap comb[v_p(u)]
-    comb[v_p(c)] for comb[v_p(u c)]: all of them in one pass when p
-    divides every u, else in one strided pass per axis i over the c_i
-    divisible by p.  A pass puts v_p(u) = 0 on the cells that a later
-    pass takes, an exact identity on cells not yet traded at p, so each
-    cell trades once.  The cells are integers below 2^53 that only
-    shrink, so every float division and product is exact.
-    """
-    out = np.multiply.outer(cells, tau[lo:hi])
-    reach = max((b for _, b in ranges), default=0)
-    shapes = [[-1 if j == i else 1 for j in range(len(ranges))]
-              for i in range(len(ranges))]
-    ones = [a for a, b in ranges if b - a == 1]       # axes of one value
-    # the primes with a multiple among the c and along some axis
-    near = primes[:np.searchsorted(primes, reach)]
-    hit = np.zeros(len(near), dtype=bool)
-    for a, b in ranges:
-        hit |= (b - 1) // near * near >= a
-    hit &= (hi - 1) // near * near >= lo
-    for p in exps.keys() | set(near[hit].tolist()):
-        hot_c = slice(-lo % p, None, p)
-        if lo + hot_c.start >= hi:
-            continue
-        v_c = 1 + _vp(p, -(-lo // p), (hi - 1) // p + 1)
-        # per axis with a multiple of p: its strided slice, and v_p along
-        # it shaped to broadcast on the grid
-        v = [((slice(None),) * i + (slice(-a % p, None, p),),
-              _vp(p, a, b).reshape(shapes[i]))
-             for i, (a, b) in enumerate(ranges) if a + -a % p < b]
-        if p in exps or ones and any(a % p == 0 for a in ones):
-            _trade(out[..., hot_c], comb,
-                   exps.get(p, 0) + sum(w for _, w in v), v_c)
-            continue                                     # p | every u
-        for n, (hot, w) in enumerate(v):
-            v_u = w[hot]                      # later axes: 0 where unmasked
-            for _, x in v[:n]:
-                v_u = v_u + x
-            for _, x in v[n + 1:]:
-                v_u = v_u * (x == 0)
-            _trade(out[hot + (Ellipsis, hot_c)], comb, v_u, v_c)
-    return out
 
 
 @lru_cache(maxsize=32)

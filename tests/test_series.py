@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 from dirlaw import series
-from dirlaw.arith import factorize, parse_model, tau_k
+from dirlaw.arith import (build_spf_sieve, factorize, least_prime_powers,
+                          parse_model, tau_k)
 from dirlaw.errors import DomainError, ResourceError
 from dirlaw.series import (a0_local_check, d_direct, d_euler, prime_sum_diag,
                            tau_box_sum)
@@ -187,15 +188,16 @@ def plain_box_sum(axes, sieve):
 
 
 @st.composite
-def boxes(draw, ks=st.integers(1, 4), stack=1, real=False):
-    """k axes of random reals (or, unless ``real``, complexes); the axis
-    of n_{k-2}, when there is one, has at least ``stack`` entries."""
+def boxes(draw, ks=st.integers(1, 5), stack=1, real=False):
+    """k axes of random reals (or, unless ``real``, complexes); the axes
+    of n_{k-2} and n_{k-1}, where they exist, have at least ``stack``
+    entries."""
     k = draw(ks)
-    longest = {1: 300, 2: 60, 3: 16, 4: 7}[k]
+    longest = {1: 300, 2: 60, 3: 16, 4: 7, 5: 4}[k]
     value = st.floats(-2.0, 2.0)
     if not real and draw(st.booleans()):
         value = st.builds(complex, value, value)
-    return [draw(st.lists(value, min_size=stack if j == k - 3 else 1,
+    return [draw(st.lists(value, min_size=stack if j in (k - 3, k - 2) else 1,
                           max_size=longest))
             for j in range(k)]
 
@@ -215,16 +217,46 @@ def test_tau_box_sum_matches_plain_loop(axes, cells, sieve_small):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(axes=boxes(ks=st.integers(3, 4), stack=3, real=True),
+@given(axes=boxes(ks=st.integers(3, 5), stack=3, real=True),
        data=st.data())
 def test_tau_box_sum_stacks_some_prefixes(axes, data, sieve_small):
-    """Blocks of several but not all prefixes n_{k-2}, bit for bit."""
-    per = data.draw(st.integers(2, len(axes[-3]) - 1))
-    cells = per * len(axes[-2]) * len(axes[-1]) \
-        + data.draw(st.integers(0, len(axes[-2]) * len(axes[-1]) - 1))
-    with mock.patch.object(series, "_STACK_CELLS", cells):
-        assert tau_box_sum(axes, sieve_small) \
-            == plain_box_sum(axes, sieve_small)
+    """Blocks that start and end inside one prefix n_1 ... n_{k-2}, and
+    blocks that span several prefixes, bit for bit."""
+    rows, n_cols = len(axes[-2]), len(axes[-1])     # the rows of a prefix
+    want = plain_box_sum(axes, sieve_small)
+    for per in (data.draw(st.integers(1, rows - 1)),
+                data.draw(st.integers(2 * rows + 1, 4 * rows))):
+        cells = per * n_cols + data.draw(st.integers(0, n_cols - 1))
+        with mock.patch.object(series, "_BLOCK_CELLS", cells):
+            assert tau_box_sum(axes, sieve_small) == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(axes=boxes(real=True))
+@example(axes=[[math.sin(n + j) for n in range(60)] for j in range(3)])
+def test_tau_box_sum_sieves_the_axes_not_their_products(axes):
+    """A sieve up to the longest axis is enough: each n_j is factored, not
+    the products n_1 ... n_k.  The oracle sieves the products."""
+    got = tau_box_sum(axes, build_spf_sieve(max(map(len, axes))))
+    assert got == plain_box_sum(axes,
+                                build_spf_sieve(math.prod(map(len, axes))))
+
+
+def test_tau_grid_refuses_tau_past_the_exact_float_range():
+    """tau_12(720720^2) < 2^53 is exact; tau_12(720720^11) is past 2^53,
+    so the row kernel refuses that row."""
+    sieve = build_spf_sieve(720720)                 # 2^4 3^2 5 7 11 13
+    _, exponent, cofactor = least_prime_powers(sieve, 720720)
+    comb = series._comb_weights(12, 64)
+
+    def grid(n_axes):
+        return series._tau_grid([np.array([720720])] * n_axes, np.ones(1),
+                                comb, sieve.spf, exponent, cofactor)
+
+    assert grid(2)[0, 0] == math.comb(19, 11) * math.comb(15, 11) \
+        * math.comb(13, 11) ** 4
+    with pytest.raises(ResourceError, match="exact float range"):
+        grid(11)
 
 
 @st.composite
