@@ -25,11 +25,13 @@ in list order, so its bits depend on that list alone; the float
 same tables: per prime slot it draws one row with probability G / G_sum.
 Exact mode keeps a per-n recursion over Fractions as the oracle.
 
-The uniform k = 2 histogram skips the walker.  Every divisor pair (d, n)
-has d or n / d at most isqrt(x); along a row with that part fixed, the
-bin of log d / log n only falls or only rises, so ``_k2_run_sums`` finds
-each bin's run of multiples by bisection on the per-pair bin rule and
-sums 1 / tau(n) over the run from one cumsum.
+The uniform k = 2 histogram skips the walker.  ``_inverse_tau`` fills
+1 / tau(n) in place from the sieve, block by block, and builds no other
+x-long table.  Every divisor pair (d, n) has d or n / d at most
+isqrt(x); along a row with that part fixed, the bin of log d / log n
+only falls or only rises, so ``_k2_run_sums`` finds each bin's run of
+multiples by bisection on the per-pair bin rule and sums 1 / tau(n) over
+the run from one cumsum.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ _CHUNK_N = 512             # most n per chunk beyond 256 chunks
 _PASS_TUPLES = 1 << 12     # tuples per walker pass, roughly
 _MC_BATCH = 1 << 14        # candidate n per Monte Carlo batch
 _MC_SAMPLES = 10 ** 8      # most Monte Carlo samples per estimate
+_TAU_BLOCK = 1 << 16       # most n per block of the uniform k = 2 weights
 # Tie guards: d = n^u holds exactly on a measure-zero set but hits every
 # perfect power; comparisons lean a hair toward inclusion so those ties
 # land on the <= side, matching the exact integer comparison d <= floor(n^u).
@@ -486,11 +489,42 @@ def _accumulate(x: int, k: int, model: WeightModel, bins: int,
 
 def _accumulate_uniform_k2(x: int, bins: int, sieve: SpfSieve):
     """The unweighted two-part case: each divisor pair (d, n) carries
-    1 / tau(n), summed by ``_k2_run_sums``."""
-    exponent, cofactor = least_prime_powers(sieve, x)[1:]
-    inv_tau = 1.0 / multiplicative_table(exponent + 1.0, cofactor)
-    del exponent, cofactor               # freed before the run sums
-    return _k2_run_sums(x, bins, inv_tau), float(x)
+    1 / tau(n), summed by ``_k2_run_sums``.  Beside the sieve, only the
+    weights and the run buffer are x-long."""
+    return _k2_run_sums(x, bins, _inverse_tau(x, sieve)), float(x)
+
+
+def _inverse_tau(x: int, sieve: SpfSieve) -> np.ndarray:
+    """1 / tau(n) for n = 0..x (1 at n < 2), filled in place from the sieve.
+
+    With p = spf[n], q = n / p and e = v_p(n): e = v_p(q) + 1 if
+    spf[q] = p, else 1, and tau(n) = tau(q) / e * (e + 1).  The blocks
+    [lo, hi) of at most ``_TAU_BLOCK`` n have hi <= 2 lo, so q <= n / 2 < lo
+    lies in a finished block.  Every tau(n) is an integer below 2^53 and
+    e divides tau(q), so each step is exact, and the reciprocal equals
+    1 / prod (v + 1) over the factorization bit for bit.  Only tau and
+    the int8 exponents e are x-long.
+    """
+    spf = sieve.spf
+    tau = np.ones(x + 1)
+    ev = np.zeros(x + 1, dtype=np.int8)             # ev[n] = v_spf[n](n)
+    lo = 2
+    while lo <= x:
+        hi = min(2 * lo, lo + _TAU_BLOCK, x + 1)
+        p = spf[lo:hi]
+        q = np.arange(lo, hi, dtype=p.dtype)
+        q //= p
+        q = q.astype(np.intp)
+        e = np.take(ev, q)
+        e *= np.take(spf, q) == p
+        e += 1
+        ev[lo:hi] = e
+        t = np.take(tau, q, out=tau[lo:hi])
+        np.divide(t, e, out=t)
+        e += 1
+        np.multiply(t, e, out=t)
+        lo = hi
+    return np.divide(1.0, tau, out=tau)
 
 
 def _k2_run_sums(x: int, bins: int, weight: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -177,7 +178,7 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
     _, exponent, cofactor = least_prime_powers(sieve, max(sizes))
     tau_b = multiplicative_table(comb[exponent], cofactor)[1:sizes[-1] + 1]
     n_rows, step = math.prod(sizes[:-1]), max(1, _BLOCK_CELLS // sizes[-1])
-    re_rows, im_rows = [], []
+    re_rows, im_rows = array("d"), array("d")      # 8 B per row sum
     for lo in range(0, n_rows, step):
         ns = np.unravel_index(np.arange(lo, min(lo + step, n_rows)),
                               sizes[:-1])
@@ -187,9 +188,9 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
         terms = np.multiply.outer(np.array(c.tolist()), last)
         terms /= _tau_grid([i + 1 for i in ns], tau_b, comb, sieve.spf,
                            exponent, cofactor)
-        re_rows += _row_sums(terms.real)
+        re_rows.extend(_row_sums(terms.real))
         if np.iscomplexobj(terms):
-            im_rows += _row_sums(terms.imag)
+            im_rows.extend(_row_sums(terms.imag))
     return complex(math.fsum(re_rows), math.fsum(im_rows) if im_rows else 0.0)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from dirlaw import integers
-from dirlaw.arith import WeightModel, factorize, parse_model
+from dirlaw.arith import (WeightModel, build_spf_sieve, factorize,
+                          least_prime_powers, model_uniform,
+                          multiplicative_table, parse_model)
 from dirlaw.errors import (DomainError, IntegrityError, ResourceError,
                            UnsupportedError)
 from dirlaw.integers import (accumulate_histogram, convergence_study,
@@ -292,6 +295,51 @@ def test_k2_run_sums_count_every_pair_in_its_own_bin(bins):
             want += np.bincount(cells, minlength=bins)
         got = integers._k2_run_sums(x, bins, np.ones(x + 1))
         assert got.tolist() == want.tolist(), (x, bins)
+
+
+@pytest.fixture(scope="module")
+def sieve_1e6():
+    return build_spf_sieve(1_000_000)
+
+
+def _inverse_tau_oracle(x, sieve):
+    """1 / tau(n) for n = 0..x as the uniform k = 2 path built it before
+    the in-place fill: a product of v + 1 over the least prime powers."""
+    exponent, cofactor = least_prime_powers(sieve, x)[1:]
+    return 1.0 / multiplicative_table(exponent + 1.0, cofactor)
+
+
+BLOCK = integers._TAU_BLOCK
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 4, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 3, 100_003, 1_000_000])
+def test_inverse_tau_is_the_factorization_product_bitwise(x, sieve_1e6):
+    oracle = _inverse_tau_oracle(x, sieve_1e6)
+    assert integers._inverse_tau(x, sieve_1e6).tobytes() == oracle.tobytes()
+    for bins in (10, 20, 100):
+        got = accumulate_histogram(x, 2, model_uniform(2), bins, sieve_1e6)
+        want = integers.HistogramGrid(
+            k=2, bins_per_dim=bins, weights=integers._k2_run_sums(
+                x, bins, oracle), normalizer=float(x)).finalize()
+        assert got.weights.tobytes() == want.weights.tobytes(), (x, bins)
+        assert got.cum.tobytes() == want.cum.tobytes(), (x, bins)
+
+
+def test_uniform_k2_traced_peak_per_n(sieve_1e6):
+    """The weights (8 B per n) and ``_k2_run_sums``'s run buffer (4 B)
+    set the floor; the int8 exponents of the fill are freed before the
+    run sums start.  16 B leaves room for block-sized temporaries and the
+    bisection arrays, and refuses any second x-long float64 table."""
+    x = 1_000_000
+    integers._accumulate_uniform_k2(1000, 20, sieve_1e6)    # warm imports
+    tracemalloc.start()
+    try:
+        integers._accumulate_uniform_k2(x, 20, sieve_1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * x, peak / x
 
 
 @pytest.mark.parametrize("bins", [10, 20])
