@@ -14,16 +14,18 @@ A tuple is fixed by one weak composition of v_p(n) into k parts at each
 prime p of n.  ``_LocalTables`` calls the model's local weights once per
 local class of p (``WeightModel.local_class``) and exponent v, and keeps
 for each prime power p^v <= x the compositions G admits with their float
-weights, the local G sum and f(p^v).  The float engines then
-walk a run of n at a time with numpy only: split each n into prime-power
-slots by ``least_prime_powers``, drop the n with f(n) = 0, and expand
-the tuples slot by slot (smallest prime first) while accumulating log
-d_j and the G weight.  The histogram deposits with one ``np.bincount``
-per chunk of the fixed chunk list, in tuple order, and adds the chunks
-in list order, so its bits depend on that list alone; the float
-``exact_lhs`` sums the in-box weight per n.  ``mc_lhs`` samples from the
-same tables: per prime slot it draws one row with probability G / G_sum.
-Exact mode keeps a per-n recursion over Fractions as the oracle.
+weights, the local G sum and f(p^v).  The float engines walk a pass of
+n at a time with numpy only: split each n into prime-power slots by
+``least_prime_powers``, drop the n with f(n) = 0, group the rest by the
+row counts of their slots' tables and expand each group as one (rows,
+members) block, slot by slot (smallest prime first), summing log d_j and
+multiplying G.  Results scatter to tuple order; the histogram deposits
+with one ``np.bincount`` per chunk of the fixed chunk list, in tuple
+order, and adds the chunks in list order, so its bits depend on that
+list alone; the float ``exact_lhs`` sums the in-box weight per n.
+``mc_lhs`` samples from the same tables: per prime slot it draws one
+row with probability G / G_sum.  Exact mode keeps a per-n recursion
+over Fractions as the oracle.
 
 The uniform k = 2 histogram skips the walker.  ``_inverse_tau`` fills
 1 / tau(n) in place from the sieve, block by block, and builds no other
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,7 +60,7 @@ _BIN_RANGE = (10, 2000)
 _CELL_GUARD = 100_000_000
 _MERGE_CHUNKS = 256        # fewest chunks of the fixed reduction order
 _CHUNK_N = 512             # most n per chunk beyond 256 chunks
-_PASS_TUPLES = 1 << 12     # tuples per walker pass, roughly
+_PASS_TUPLES = 1 << 18     # tuples per walker pass, roughly
 _MC_BATCH = 1 << 14        # candidate n per Monte Carlo batch
 _MC_SAMPLES = 10 ** 8      # most Monte Carlo samples per estimate
 _TAU_BLOCK = 1 << 16       # most n per block of the uniform k = 2 weights
@@ -103,8 +105,7 @@ class HistogramGrid:
 def _cells(r: np.ndarray, bins: int) -> np.ndarray:
     """Bin indices for scaled positions r = v / w in [0, bins]."""
     c = np.ceil(r * (1.0 - _REL_GUARD) - _ABS_GUARD).astype(np.int64) - 1
-    np.clip(c, 0, bins - 1, out=c)
-    return c
+    return np.minimum(np.maximum(c, 0, out=c), bins - 1, out=c)
 
 
 def _query_index(u: float, bins: int) -> int:
@@ -133,23 +134,24 @@ def empirical_cdf(grid: HistogramGrid, rect) -> float:
 
 
 @dataclass
-class _Leaves:
-    """Every tuple of the n in one range with f(n) != 0.
+class _Pass:
+    """The n in one range with f(n) != 0 and their tuples.
 
-    Per n: ``n``, ``log_n`` (math.log, 0 at n = 1), ``f`` and ``g_total``
-    (the product of the local G sums).  Per tuple, in the order of a
-    recursion over the primes of n, smallest first: ``owner`` (index
-    into ``n``), ``logd`` (one array per coordinate j < k of log d_j,
-    summed in prime order) and its G weight ``g``.
+    Per n: ``n``, ``log_n`` (math.log, 0 at n = 1), ``f``, ``g_total``
+    (the product of the local G sums) and ``start``, the index of its
+    first tuple, plus the tuple count.  ``blocks`` yields once, per
+    signature or part of one, ``(m, at, logd, g)``: the members (indices
+    into ``n``) and as (rows, members) arrays each tuple's index, log d_j
+    (stacked over j < k) and G weight.  Tuples run as a recursion over
+    n's primes would list them, smallest prime first.
     """
 
     n: np.ndarray
     log_n: np.ndarray
     f: np.ndarray
     g_total: np.ndarray
-    owner: np.ndarray
-    logd: list[np.ndarray]
-    g: np.ndarray
+    start: np.ndarray
+    blocks: Iterator
 
 
 class _LocalTables:
@@ -163,7 +165,7 @@ class _LocalTables:
     pair.  Identical tables are stored once, numbered in order of first
     appearance along the prime powers by (p, v), so most models keep one
     table per exponent.  Entry 0 stands for q = 1: one all-zero row of
-    weight 1, which pads the n with fewer primes.
+    weight 1, which pads the n with fewer primes in ``_slots``.
     """
 
     def __init__(self, model: WeightModel, x: int, sieve: SpfSieve):
@@ -208,10 +210,11 @@ class _LocalTables:
         self._g_sum = np.array([t[1] for t in tables])
         counts = np.array([len(t[2]) for t in tables], dtype=np.int64)
         self._row_count = counts
+        self._sole = set(np.flatnonzero(np.bincount(counts[1:]) == 1).tolist())
         self._row_start = np.cumsum(counts) - counts
         rows = [r for t in tables for r in t[2]]
         exps = np.array(rows, dtype=np.float64).reshape(-1, k)
-        self._row_exps = [exps[:, j].copy() for j in range(k - 1)]
+        self._row_exps = exps[:, :k - 1].T.copy()      # (k - 1, rows)
         self._row_g = np.array([g for t in tables for g in t[3]])
         # row keys for ``draw``: table id plus the table's cumulative G
         # share up to and including the row, so the keys of table t lie
@@ -255,39 +258,57 @@ class _LocalTables:
                                  f"n={int(n[bad[0]])} with f>0")
 
     def tuple_counts(self) -> np.ndarray:
-        """How many tuples ``leaves`` returns on each n = 0..x: the
-        product of the row counts of the tables of n's prime powers."""
+        """How many tuples ``tuples`` gives each n = 0..x: the product of
+        the row counts of the tables of n's prime powers."""
         local = self._row_count[self._table[self._entry]]
         return multiplicative_table(local, self._cofactor)
 
-    def leaves(self, lo: int, hi: int) -> _Leaves:
-        """The tuples of every n in [lo, hi) with f(n) != 0."""
+    def tuples(self, lo: int, hi: int) -> _Pass:
+        """The tuples of every n in [lo, hi) with f(n) != 0.
+
+        The n are grouped by signature, the row counts of the tables of
+        their prime slots, and each group expands as one block, slot by
+        slot with the members innermost.  A block takes the float
+        operations of a per-tuple recursion in its order, so every value
+        keeps its bits.
+        """
         slots, f, g_total = self._slots(np.arange(lo, hi))
         keep = np.flatnonzero(f)
         n = keep + lo
-        f = f[keep]
-        g_total = g_total[keep]
-        self.check_g_total(n, g_total)
-        log_n = _log(n)
-        owner = np.arange(len(n), dtype=np.int32)
-        logd = [np.zeros(len(n)) for _ in range(self.k - 1)]
-        g = np.ones(len(n))
+        self.check_g_total(n, g_total[keep])
+        steps = []      # per slot: row count (0 for q = 1), first row, log p
         for entry in slots:
             entry = entry[keep]
-            tid = self._table[entry][owner]
-            count = self._row_count[tid]
-            parent = np.repeat(np.arange(len(owner), dtype=np.int32), count)
-            # a child's row: its table's first row plus its rank among
-            # the children of its parent
-            row = np.repeat(self._row_start[tid] - (np.cumsum(count)
-                                                    - count), count)
-            row += np.arange(len(parent))
-            owner = owner[parent]
-            g = g[parent] * self._row_g[row]
-            logp = self._logp[entry][owner]
-            logd = [d[parent] + e[row] * logp
-                    for d, e in zip(logd, self._row_exps)]
-        return _Leaves(n, log_n, f, g_total, owner, logd, g)
+            tid = self._table[entry]
+            steps.append((np.where(entry > 0, self._row_count[tid], 0),
+                          self._row_start[tid], self._logp[entry]))
+        sig = np.array([s[0] for s in steps], np.int64).reshape(-1, len(n))
+        order = np.lexsort([n, *sig[::-1]])
+        groups = np.split(order, np.flatnonzero(
+            np.diff(sig[:, order]).any(axis=0)) + 1) if len(n) else []
+        start = np.concatenate([[0], np.cumsum(np.maximum(sig, 1).prod(0))])
+        return _Pass(n, _log(n), f[keep], g_total[keep], start,
+                     self._blocks(groups, steps, start))
+
+    def _blocks(self, groups, steps, start):
+        for group in groups:
+            rows = int(start[group[0] + 1] - start[group[0]])
+            # blocks of at most _PASS_TUPLES / 16 tuples bound temporaries
+            size = max(1, (_PASS_TUPLES >> 4) // rows)
+            for m in (group[i:i + size] for i in range(0, len(group), size)):
+                logd = np.zeros((self.k - 1, 1, len(m)))
+                g = np.ones((1, len(m)))
+                for digit, first, logp in steps:
+                    c = int(digit[m[0]])
+                    if c == 0:              # q = 1 pads the n's last slots
+                        break
+                    # a row count only one table has: broadcast its rows
+                    row = first[m[:1] if c in self._sole else m] \
+                        + np.arange(c)[:, None]
+                    g = (g[:, None] * self._row_g[row]).reshape(-1, len(m))
+                    logd = (logd[:, :, None] + self._row_exps[:, None, row]
+                            * logp[m]).reshape(self.k - 1, -1, len(m))
+                yield m, start[m] + np.arange(rows)[:, None], logd, g
 
 
 def _log(n: np.ndarray) -> np.ndarray:
@@ -386,15 +407,16 @@ def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
     num_terms: list[np.ndarray] = []
     den_terms: list[np.ndarray] = []
     for chunks in _passes(tables, x):
-        lv = tables.leaves(chunks[0][0], chunks[-1][1])
-        inside = np.ones(len(lv.g), dtype=bool)
-        for c, logd in zip(u, lv.logd):
-            caps = float(c) * lv.log_n * (1.0 + _REL_GUARD) + _ABS_GUARD
-            inside &= logd <= caps[lv.owner]
-        good = np.bincount(lv.owner, weights=np.where(inside, lv.g, 0.0),
-                           minlength=len(lv.n))
-        num_terms.append(lv.f * good / lv.g_total)
-        den_terms.append(lv.f)
+        ps = tables.tuples(chunks[0][0], chunks[-1][1])
+        kept = np.empty(ps.start[-1])       # G of in-box tuples, else 0
+        caps = np.array([float(c) * ps.log_n * (1.0 + _REL_GUARD)
+                         + _ABS_GUARD for c in u])
+        for m, at, logd, g in ps.blocks:
+            kept[at] = np.where((logd <= caps[:, None, m]).all(axis=0), g, 0.0)
+        owner = np.repeat(np.arange(len(ps.n)), np.diff(ps.start))
+        good = np.bincount(owner, kept, minlength=len(ps.n))
+        num_terms.append(ps.f * good / ps.g_total)
+        den_terms.append(ps.f)
     den = math.fsum(np.concatenate(den_terms))
     if den <= 0.0:
         raise IntegrityError("model weight f vanishes on [1, x]")
@@ -467,18 +489,20 @@ def _accumulate(x: int, k: int, model: WeightModel, bins: int,
         hist = np.zeros(shape)
         norm = 0.0
         for chunks in _passes(tables, x):
-            lv = tables.leaves(chunks[0][0], chunks[-1][1])
-            ln_inv = np.divide(1.0, lv.log_n, out=np.zeros_like(lv.log_n),
-                               where=lv.log_n > 0.0)[lv.owner]
-            cell = np.zeros(len(lv.owner), dtype=np.int64)
-            for logd in lv.logd:
-                cell = cell * bins + _cells(logd * ln_inv * bins, bins)
-            weights = lv.g * (lv.f / lv.g_total)[lv.owner]
-            cut = np.searchsorted(lv.n, [hi for _, hi in chunks[:-1]])
-            # owners ascend, so each chunk's tuples are one slice
-            ends = np.searchsorted(lv.owner, cut).tolist()
+            ps = tables.tuples(chunks[0][0], chunks[-1][1])
+            ln_inv = np.divide(1.0, ps.log_n, out=np.zeros_like(ps.log_n),
+                               where=ps.log_n > 0.0)
+            share = ps.f / ps.g_total
+            cell = np.empty(ps.start[-1], dtype=np.int64)
+            weights = np.empty(ps.start[-1])
+            for m, at, logd, g in ps.blocks:
+                cell[at] = np.ravel_multi_index(
+                    tuple(_cells(logd * ln_inv[m] * bins, bins)), shape)
+                weights[at] = g * share[m]
+            cut = np.searchsorted(ps.n, [hi for _, hi in chunks[:-1]])
+            ends = ps.start[cut].tolist()   # each chunk's tuples: one slice
             for a, b, f in zip([0, *ends], [*ends, len(cell)],
-                               np.split(lv.f, cut)):   # fixed chunk order
+                               np.split(ps.f, cut)):   # fixed chunk order
                 part = np.bincount(cell[a:b], weights[a:b], hist.size)
                 hist += part.reshape(shape)
                 norm += math.fsum(f)

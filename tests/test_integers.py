@@ -175,7 +175,8 @@ SPELLINGS = sorted({(s, k) for s, k, _ in WALKER_CASES} | {
 @given(case=st.sampled_from(SPELLINGS), x=st.integers(1, 5000))
 def test_tuple_count_table_matches_the_slots(case, x, sieve_small):
     """The multiplicative tuple counts against the product of the row
-    counts along ``_slots``, and against the tuples ``leaves`` returns."""
+    counts along ``_slots``, and against the rows of the blocks that
+    ``tuples`` expands per n."""
     tables = integers._LocalTables(parse_model(*case), x, sieve_small)
     counts = tables.tuple_counts()
     slots, f, _ = tables._slots(np.arange(x + 1))
@@ -183,9 +184,11 @@ def test_tuple_count_table_matches_the_slots(case, x, sieve_small):
     for entry in slots:
         want *= tables._row_count[tables._table[entry]]
     assert counts.tolist() == want.tolist()
-    lv = tables.leaves(1, x + 1)
-    assert np.bincount(lv.owner, minlength=len(lv.n)).tolist() \
-        == counts[lv.n].tolist()
+    ps = tables.tuples(1, x + 1)
+    rows = np.zeros(len(ps.n), dtype=np.int64)
+    for m, _, _, g in ps.blocks:
+        rows[m] += len(g)
+    assert rows.tolist() == counts[ps.n].tolist()
     assert not counts[1:][f[1:] == 0].any()
 
 
@@ -247,6 +250,113 @@ def test_walker_bits_ignore_passes(spelling, x, bins, sieve_small,
         other = accumulate_histogram(x, 3, model, bins, sieve=sieve_small)
         assert base.weights.tobytes() == other.weights.tobytes()
         assert base.cum.tobytes() == other.cum.tobytes()
+
+
+def _leaves_oracle(tables, lo, hi):
+    """The tuples of every n in [lo, hi) with f(n) != 0 as the walker
+    expanded them before it grouped n by prime signature: slot by slot,
+    one gather per tuple.  Returns n, log n, f, G_total and per tuple its
+    owner (index into n), log d_j (one array per j < k) and G weight."""
+    slots, f, g_total = tables._slots(np.arange(lo, hi))
+    keep = np.flatnonzero(f)
+    n = keep + lo
+    owner = np.arange(len(n), dtype=np.int32)
+    logd = [np.zeros(len(n)) for _ in range(tables.k - 1)]
+    g = np.ones(len(n))
+    for entry in slots:
+        entry = entry[keep]
+        tid = tables._table[entry][owner]
+        count = tables._row_count[tid]
+        parent = np.repeat(np.arange(len(owner), dtype=np.int32), count)
+        row = np.repeat(tables._row_start[tid] - (np.cumsum(count) - count),
+                        count)
+        row += np.arange(len(parent))
+        owner = owner[parent]
+        g = g[parent] * tables._row_g[row]
+        logp = tables._logp[entry][owner]
+        logd = [d[parent] + e[row] * logp
+                for d, e in zip(logd, tables._row_exps)]
+    return n, integers._log(n), f[keep], g_total[keep], owner, logd, g
+
+
+def _histogram_oracle(x, model, bins_list, sieve):
+    """Finalized histograms per bin count, deposited chunk by chunk of
+    ``_chunk_ranges`` from ``_leaves_oracle``'s tuples in tuple order."""
+    tables = integers._LocalTables(model, x, sieve)
+    hists = {bins: np.zeros((bins,) * (model.k - 1)) for bins in bins_list}
+    norm = 0.0
+    for lo, hi in integers._chunk_ranges(x):
+        n, log_n, f, g_total, owner, logd, g = _leaves_oracle(tables, lo, hi)
+        ln_inv = np.divide(1.0, log_n, out=np.zeros_like(log_n),
+                           where=log_n > 0.0)[owner]
+        weights = g * (f / g_total)[owner]
+        for bins, hist in hists.items():
+            cell = np.zeros(len(owner), dtype=np.int64)
+            for d in logd:
+                r = d * ln_inv * bins       # ``_cells`` as it was, with clip
+                c = np.ceil(r * (1.0 - integers._REL_GUARD)
+                            - integers._ABS_GUARD).astype(np.int64) - 1
+                cell = cell * bins + np.clip(c, 0, bins - 1)
+            hist += np.bincount(cell, weights, hist.size).reshape(hist.shape)
+        norm += math.fsum(f)
+    return {bins: integers.HistogramGrid(model.k, bins, hist,
+                                         normalizer=norm).finalize()
+            for bins, hist in hists.items()}
+
+
+def _float_lhs_oracle(x, model, u, sieve):
+    """The float ``exact_lhs`` summed from ``_leaves_oracle``'s tuples."""
+    tables = integers._LocalTables(model, x, sieve)
+    num, den = [], []
+    for lo, hi in integers._chunk_ranges(x):
+        n, log_n, f, g_total, owner, logd, g = _leaves_oracle(tables, lo, hi)
+        inside = np.ones(len(g), dtype=bool)
+        for c, d in zip(u, logd):
+            caps = (float(c) * log_n * (1.0 + integers._REL_GUARD)
+                    + integers._ABS_GUARD)
+            inside &= d <= caps[owner]
+        good = np.bincount(owner, weights=np.where(inside, g, 0.0),
+                           minlength=len(n))
+        num.append(f * good / g_total)
+        den.append(f)
+    return math.fsum(np.concatenate(num)) / math.fsum(np.concatenate(den))
+
+
+# every builtin model at k = 2, 3, 4 that runs the walker (uniform k = 2
+# has its own path), and each residues modulus
+ORACLE_CASES = [(s, k) for k in (2, 3, 4) for s in (
+    "uniform", "squarefree", "two-squares", "nested", "coprime",
+    {2: "tau-weights:1/2;1,1", 3: "tau-weights:3/2;1,2,3",
+     4: "tau-weights:2;1,3,1/2,1"}[k]) if (s, k) != ("uniform", 2)] \
+    + [(f"residues:{q}", None) for q in (3, 4, 5, 8)]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=str)
+def test_walker_histograms_are_the_oracle_bitwise(case, sieve_small):
+    """Weights, cum and normalizer of the per-signature blocks against the
+    per-tuple expansion, byte for byte."""
+    model = parse_model(*case)
+    for x in (1, 2, 511, 512, 513, 5000, 30_000):
+        for bins, want in _histogram_oracle(x, model, (10, 20, 100),
+                                            sieve_small).items():
+            got = accumulate_histogram(x, model.k, model, bins, sieve_small)
+            assert got.weights.tobytes() == want.weights.tobytes(), (x, bins)
+            assert got.cum.tobytes() == want.cum.tobytes(), (x, bins)
+            assert got.normalizer.hex() == want.normalizer.hex(), (x, bins)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=str)
+def test_walker_float_lhs_is_the_oracle_bitwise(case, sieve_small):
+    model = parse_model(*case)
+    m = model.k - 1
+    corners = [(Fraction(0),) * m, (Fraction(1),) * m, (Fraction(1, 2),) * m,
+               tuple(Fraction(i + 1, 2 * m + 1) for i in range(m)),
+               tuple(Fraction(1, 3 + i) for i in range(m))]
+    for x in (1, 513, 5000):
+        for u in corners:
+            got = exact_lhs(x, model.k, model, u, sieve_small, exact=False)
+            assert got.hex() == _float_lhs_oracle(x, model, u,
+                                                  sieve_small).hex(), (x, u)
 
 
 def test_uniform_fast_path_matches_general_walk(sieve_small):
@@ -340,6 +450,25 @@ def test_uniform_k2_traced_peak_per_n(sieve_1e6):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * x, peak / x
+
+
+def test_walker_traced_peak_is_pass_sized(sieve_1e6):
+    """The walker holds one pass of tuples at a time.  At x = 2e5 the
+    x-long tables of ``_LocalTables`` and the tuple counts peak near
+    6 MB; a pass adds its tuple-order cells and weights (16 B per tuple,
+    about 4 MB at ``_PASS_TUPLES`` = 2^18) and its largest block's
+    temporaries, 9.3 MB in all.  16 MB leaves room for those to move,
+    while one pass over the whole range (16.8M tuples here) would need
+    over 250 MB."""
+    model = model_uniform(3)
+    accumulate_histogram(1000, 3, model, 10, sieve_1e6)     # warm imports
+    tracemalloc.start()
+    try:
+        accumulate_histogram(200_000, 3, model, 10, sieve_1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak / 1e6
 
 
 @pytest.mark.parametrize("bins", [10, 20])
