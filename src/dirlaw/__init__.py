@@ -11,8 +11,8 @@ from .arith import (BUILTIN_MODELS, FactoredInteger, SpfSieve, WeightModel,
                     parse_model, primes_up_to, sample_factorization, tau_k)
 from .caches import get_irreducibles, get_spf_sieve
 from .dirichlet import (DirichletParams, RectQuery, SimplexPoint, cdf,
-                        cdf_arcsine, cdf_monte_carlo, density, sample_many,
-                        simplex_mass)
+                        cdf_arcsine, cdf_many, cdf_monte_carlo, density,
+                        sample_many, simplex_mass)
 from .errors import (DirlawError, DomainError, IntegrityError,
                      ResourceError, SingularityError, UnsupportedError)
 from .integers import (HistogramGrid, accumulate_histogram,
@@ -36,11 +36,12 @@ __all__ = [
     "SeriesPoint", "SimplexPoint", "SingularityError", "SpfSieve",
     "StirlingTable", "UnsupportedError", "WeightModel", "a0_local_check",
     "accumulate_histogram", "build_irreducibles", "build_spf_sieve",
-    "build_stirling", "cdf", "cdf_arcsine", "cdf_monte_carlo", "compositions",
-    "convergence_csv", "convergence_study", "cycle_types", "d_direct",
-    "d_euler", "density", "deviation_perm", "deviation_poly", "empirical_cdf",
-    "exact_lhs", "exact_lhs_poly", "factorize", "get_irreducibles",
-    "get_spf_sieve", "irreducible_count", "lhs_perm_brute", "lhs_perm_exact",
+    "build_stirling", "cdf", "cdf_arcsine", "cdf_many", "cdf_monte_carlo",
+    "compositions", "convergence_csv", "convergence_study", "cycle_types",
+    "d_direct", "d_euler", "density", "deviation_perm", "deviation_poly",
+    "empirical_cdf", "exact_lhs", "exact_lhs_poly", "factorize",
+    "get_irreducibles", "get_spf_sieve", "irreducible_count",
+    "lhs_perm_brute", "lhs_perm_exact",
     "mc_lhs", "mean_tau_alpha", "model_coprime", "model_nested",
     "model_residues", "model_squarefree", "model_tau_weights",
     "model_two_squares", "model_uniform", "parse_model", "prime_sum_diag",

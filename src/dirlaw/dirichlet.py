@@ -35,19 +35,29 @@ loses at most 1e-17 per corner, (k - 2) * 1e-17 in all, far below the
 4e-16 floor of the level-to-level convergence test.  At k = 4 this
 skips about half the middle-depth nodes and leaves about a third of the
 incomplete-beta evaluations.
+
+``cdf_many`` takes a whole report grid.  It checks every corner before
+it evaluates any, then evaluates the uncached corners of each alpha order
+together: one pass per level over every corner still pending, at most N
+corners (N nodes) per call, with convergence decided corner by corner.
+Each corner's outer integral is reduced by its own dot with the weights,
+as a lone corner's is, so no value depends on the rest of its batch.
+``cdf`` is its one-corner case, and ``simplex_mass`` reads the same
+bounded cache.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (DomainError, IntegrityError, ResourceError,
-                     SingularityError, UnsupportedError)
+from .errors import (DirlawError, DomainError, IntegrityError,
+                     ResourceError, SingularityError, UnsupportedError)
 from .quadrature import BERNOULLI, nodes
 
 _MAX_CDF_DIMS = 4          # CDF coordinate cap (k - 1)
@@ -214,7 +224,8 @@ def _power_series(a: float, b: float, x: np.ndarray) -> np.ndarray:
     coeffs, inv_beta = _series_terms(a, b)
     acc = np.zeros_like(x)
     for c in coeffs:
-        acc = acc * x + c
+        acc *= x
+        acc += c
     return x ** a * inv_beta * acc
 
 
@@ -329,19 +340,28 @@ def _stick_breaking(alpha: tuple[float, ...], u: np.ndarray,
     """Dir(alpha) mass of {t_i <= u_i, i < k} for each row of u, (m, k-1).
 
     Coordinates of u must lie in [0, 1].  The outer integral over t_1
-    uses the tanh-sinh nodes of ``level``; its integrand is the same
-    function of the conditional corners, one coordinate shorter.
+    uses the tanh-sinh nodes of ``level`` (``_integrand``), reduced for
+    all m rows by one (m, N) @ (N,) product.
     """
     m, d = u.shape
-    a, b = alpha[0], math.fsum(alpha[1:])
     if d == 1:
-        return _betainc(a, b, u[:, 0])
+        return _betainc(alpha[0], math.fsum(alpha[1:]), u[:, 0])
     if d > 2 and m > 1:
         # m corners of d coordinates bring m * N^(d-1) corners to the base
         # (N nodes per level); taking these one at a time bounds that
         # working set by N^2.
         return np.array([_stick_breaking(alpha, c[None], level)[0]
                          for c in u])
+    return _integrand(alpha, u, level) @ nodes(level)[2] / alpha[0]
+
+
+def _integrand(alpha: tuple[float, ...], u: np.ndarray,
+               level: int) -> np.ndarray:
+    """The outer integrand of ``_stick_breaking`` times alpha_1 at the N
+    nodes of ``level``, (m, N) for rows u of d >= 2 coordinates: its
+    prefactor times the same function of the conditional corners, one
+    coordinate shorter."""
+    a, b = alpha[0], math.fsum(alpha[1:])
     xi, omx, w = nodes(level)
     u1 = u[:, :1]
     with np.errstate(divide="ignore", over="ignore"):
@@ -361,46 +381,129 @@ def _stick_breaking(alpha: tuple[float, ...], u: np.ndarray,
     live = face * w / a >= _SKIP / len(w)
     g = np.zeros_like(face)
     g[live] = _stick_breaking(alpha[1:], inner[live], level)
-    return (face * g) @ w / a
+    return face * g
 
 
-def _check_frechet(alpha: tuple[float, ...], u: tuple[float, ...],
-                   val: float, tol: float):
+def _corner_masses(alpha: tuple[float, ...], u: np.ndarray,
+                   level: int) -> np.ndarray:
+    """``_stick_breaking`` for corners of d >= 2 coordinates, each row
+    reduced by its own dot with the weights: a batched (m, N) @ (N,)
+    product rounds a row differently from the single corner's, so this
+    keeps every corner's bits independent of its batch."""
+    if u.shape[1] > 2:
+        return _stick_breaking(alpha, u, level)
+    w = nodes(level)[2]
+    return np.array([row @ w for row in _integrand(alpha, u, level)]) \
+        / alpha[0]
+
+
+def _check_frechet(alpha: tuple[float, ...], u: np.ndarray, vals: np.ndarray,
+                   tol: float):
     """Refuse a CDF outside the Frechet bounds of its marginals F_i =
     I_(u_i)(alpha_i, A - alpha_i), max(0, 1 - sum(1 - F_i)) <= F <=
     min F_i: two levels that both miss the peak of the density agree on a
-    wrong value.  One ``_betainc`` call per distinct alpha_i."""
-    coords, shares = np.array(u), np.array(alpha[:len(u)])
-    marginal = np.empty_like(coords)
-    for a in set(alpha[:len(u)]):
-        marginal[shares == a] = _betainc(a, math.fsum(alpha) - a,
-                                          coords[shares == a])
-    lo, hi = max(0.0, 1.0 - math.fsum(1.0 - marginal)), marginal.min()
-    if not lo - tol <= val <= hi + tol:
-        raise IntegrityError(f"CDF {val:g} leaves its Frechet bounds "
-                             f"[{lo:g}, {hi:g}] by more than {tol:g}")
+    wrong value.  One ``_betainc`` call per distinct alpha_i for all rows
+    of u; a row whose value lies within 1e-14 of the lower bound, where
+    the plain sum of at most four terms could decide otherwise, is
+    decided by ``math.fsum``."""
+    shares = np.array(alpha[:u.shape[1]])
+    marginal = np.empty_like(u)
+    for a in set(alpha[:u.shape[1]]):
+        cols = shares == a
+        marginal[:, cols] = _betainc(a, math.fsum(alpha) - a,
+                                     u[:, cols].ravel()).reshape(len(u), -1)
+    hi = marginal.min(axis=1)
+    near = np.maximum(0.0, 1.0 - (1.0 - marginal).sum(axis=1)) - tol + 1e-14
+    for i in np.flatnonzero(~((near <= vals) & (vals <= hi + tol))).tolist():
+        lo = max(0.0, 1.0 - math.fsum(1.0 - marginal[i]))
+        if not lo - tol <= vals[i] <= hi[i] + tol:
+            raise IntegrityError(
+                f"CDF {vals[i]:g} leaves its Frechet bounds "
+                f"[{lo:g}, {hi[i]:g}] by more than {tol:g}")
 
 
-@lru_cache(maxsize=200_000)
-def _cdf_cached(alpha: tuple[float, ...], u: tuple[float, ...],
-                tol: float) -> float:
-    if any(c == 0.0 for c in u):
-        return 0.0
-    corner = np.array([u])
+def _evaluate(alpha: tuple[float, ...], u: np.ndarray,
+              tol: float) -> list[float]:
+    """F at each row of u, (m, d), every coordinate positive.
+
+    The level is raised from 3 until two levels agree within tol / 2, row
+    by row; each level evaluates every row still pending, at most N (the
+    level's node count) rows per call, so a call holds at most N rows by
+    N nodes.  A one-coordinate row is ``_betainc`` at every level.
+    """
+    m, d = u.shape
+    out = np.empty(m)
+    todo = np.arange(m)
+    beta = _betainc(alpha[0], math.fsum(alpha[1:]), u[:, 0]) if d == 1 \
+        else None
     prev = None
     for level in range(3, _MAX_LEVEL + 1):
-        val = float(_stick_breaking(alpha, corner, level)[0])
-        if prev is not None and abs(val - prev) <= max(0.5 * tol, 4e-16):
-            if len(u) > 1:
-                _check_frechet(alpha, u, val, tol)
-            return min(val, 1.0) if val > 1.0 and val - 1.0 < tol else val
+        if beta is not None:
+            val = beta[todo]
+        else:
+            rows = len(nodes(level)[2])
+            val = np.concatenate([
+                _corner_masses(alpha, u[todo[i:i + rows]], level)
+                for i in range(0, len(todo), rows)])
+        if prev is not None:
+            with np.errstate(invalid="ignore"):     # inf - inf is unsettled
+                done = np.abs(val - prev) <= max(0.5 * tol, 4e-16)
+            out[todo[done]] = val[done]
+            todo, val = todo[~done], val[~done]
+        if not len(todo):
+            break
         prev = val
-    raise IntegrityError(
-        f"CDF quadrature did not converge to {tol:g} in {len(u)} dimensions")
+    else:
+        raise IntegrityError(
+            f"CDF quadrature did not converge to {tol:g} in {d} dimensions")
+    if d > 1:
+        _check_frechet(alpha, u, out, tol)
+    return np.where((out > 1.0) & (out - 1.0 < tol), 1.0, out).tolist()
 
 
-def cdf(params, rect, tol: float = 1e-9) -> float:
-    """Rectangle CDF F(u_1, ..., u_(k-1)) to absolute accuracy tol.
+# (alpha, u, tol) -> F, least recently used first; at most _CACHE_SIZE
+_CACHE: OrderedDict[tuple, float] = OrderedDict()
+_CACHE_SIZE = 200_000
+
+
+def _cached_cdf(keys: list[tuple[tuple[float, ...], tuple[float, ...]]],
+                tol: float) -> list[float]:
+    """F at every (alpha, u) of keys, taken as given: from ``_CACHE``, else
+    evaluated with every uncached corner of the same alpha.
+
+    If any batch fails, the uncached corners are evaluated again one at a
+    time in input order, so the error raised is the first failing
+    corner's own.
+    """
+    found: dict = {}
+    batches: dict = {}
+    for key in dict.fromkeys(keys):
+        if any(c == 0.0 for c in key[1]):
+            found[key] = 0.0
+        elif key + (tol,) in _CACHE:
+            _CACHE.move_to_end(key + (tol,))
+            found[key] = _CACHE[key + (tol,)]
+        else:
+            batches.setdefault(key[0], []).append(key[1])
+    try:
+        for alpha, us in batches.items():
+            found.update(zip(((alpha, u) for u in us),
+                             _evaluate(alpha, np.array(us), tol)))
+    except DirlawError:
+        for alpha, u in keys:
+            if (alpha, u) not in found:
+                found[alpha, u] = _evaluate(alpha, np.array([u]), tol)[0]
+    for alpha, us in batches.items():
+        for u in us:
+            _CACHE[alpha, u, tol] = found[alpha, u]
+    while len(_CACHE) > _CACHE_SIZE:
+        _CACHE.popitem(last=False)
+    return [found[key] for key in keys]
+
+
+def cdf_many(params, corners, tol: float = 1e-9) -> list[float]:
+    """Rectangle CDF F(u_1, ..., u_(k-1)) at every corner, to absolute
+    accuracy tol; each value is the one ``cdf`` gives that corner alone.
 
     Stick-breaking recursion: the incomplete beta function for k = 2 (a
     power series when both alpha_i <= 1, a continued fraction otherwise),
@@ -411,36 +514,47 @@ def cdf(params, rect, tol: float = 1e-9) -> float:
     so the corners of one exchangeable class share one cache entry.  The
     largest u_i goes to the exact incomplete beta function; in an outer
     integral, a u_i far above the mode of a large alpha_i is where the
-    substitution t = u s^(1/alpha) loses the peak.
-    Requires sum u_i <= 1 (the box must not leave the simplex) and
-    k - 1 <= 4; tol must lie in [1e-12, 1e-3].
+    substitution t = u s^(1/alpha) loses the peak.  The uncached corners
+    of each alpha order are evaluated together, one pass per level.
+    Every corner is checked before any is evaluated: each needs
+    sum u_i <= 1 (the box must not leave the simplex) and k - 1 <= 4;
+    tol must lie in [1e-12, 1e-3].
     """
     alpha = _as_alpha(params)
-    u = _as_corner(rect)
-    if len(u) != len(alpha) - 1:
-        raise DomainError("rectangle dimension must be k - 1")
-    if sum(u) > 1.0 + 1e-12:
-        raise DomainError("rectangle corner must satisfy sum u_i <= 1")
-    if len(u) > _MAX_CDF_DIMS:
-        raise UnsupportedError("CDF supports at most k - 1 = 4 dimensions")
+    keys = []
+    for rect in corners:
+        u = _as_corner(rect)
+        if len(u) != len(alpha) - 1:
+            raise DomainError("rectangle dimension must be k - 1")
+        if sum(u) > 1.0 + 1e-12:
+            raise DomainError("rectangle corner must satisfy sum u_i <= 1")
+        if len(u) > _MAX_CDF_DIMS:
+            raise UnsupportedError(
+                "CDF supports at most k - 1 = 4 dimensions")
+        pairs = sorted(zip(u, alpha))
+        keys.append((tuple(a for _, a in pairs) + alpha[-1:],
+                     tuple(c for c, _ in pairs)))
     if not (1e-12 <= tol <= 1e-3):
         raise DomainError("tol must lie in [1e-12, 1e-3]")
-    pairs = sorted(zip(u, alpha))
-    return _cdf_cached(tuple(a for _, a in pairs) + alpha[-1:],
-                       tuple(c for c, _ in pairs), tol)
+    return _cached_cdf(keys, tol)
+
+
+def cdf(params, rect, tol: float = 1e-9) -> float:
+    """``cdf_many`` at the one corner rect."""
+    return cdf_many(params, [rect], tol)[0]
 
 
 def simplex_mass(params, tol: float = 1e-9) -> float:
     """Total mass of the density over the whole simplex (ideally 1).
 
     The stick-breaking rule of ``cdf`` at the corner u = (1, ..., 1),
-    where every conditional corner clips to 1; a direct check on the
-    quadrature plus normalization constants.
+    with alpha in the order given, where every conditional corner clips
+    to 1; a direct check on the quadrature plus normalization constants.
     """
     alpha = _as_alpha(params)
     if len(alpha) - 1 > _MAX_CDF_DIMS:
         raise UnsupportedError("mass check supports at most k - 1 = 4")
-    return _cdf_cached(alpha, tuple(1.0 for _ in alpha[:-1]), tol)
+    return _cached_cdf([(alpha, tuple(1.0 for _ in alpha[:-1]))], tol)[0]
 
 
 def sample_many(params, n: int, seed: int) -> np.ndarray:

@@ -273,12 +273,15 @@ def _certified_sums(rows: np.ndarray) -> list[float]:
     that need fsum's own handling.  fsum can overflow part way only where
     sum |x_i| nears 2^1023, and then sigma > 2 sum |x_i| is inf; that row,
     and a row with an inf or a nan, gets a nan res.  If |res| < 2^-1021, 0
-    included, the gaps are 2^-1074 <= B; fsum chooses a zero's sign.
+    included, the gaps are 2^-1074 <= B; fsum chooses a zero's sign.  A
+    row of +0.0 alone needs no choice: its res is +0.0, as fsum's sum is.
     """
     n = rows.shape[1]
+    peak = np.abs(rows).max(axis=1)
+    zero = peak == 0.0
+    zero[zero] = ~np.signbit(rows[zero]).any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1))[1]
-                         + n.bit_length() + 1)
+        sigma = np.ldexp(1.0, np.frexp(peak)[1] + n.bit_length() + 1)
         q = rows + sigma[:, None]
         q -= sigma[:, None]
         hi = q.sum(axis=1)
@@ -287,8 +290,8 @@ def _certified_sums(rows: np.ndarray) -> list[float]:
         res = hi + total
         back = res - hi
         t = (hi - (res - back)) + (total - back)
-        ok = (2.0 * (t + bound) < np.nextafter(res, np.inf) - res) \
-            & (2.0 * (t - bound) > np.nextafter(res, -np.inf) - res)
+        ok = ((2.0 * (t + bound) < np.nextafter(res, np.inf) - res)
+              & (2.0 * (t - bound) > np.nextafter(res, -np.inf) - res)) | zero
     out = res.tolist()
     for i in np.flatnonzero(~ok).tolist():
         # memoryview hands fsum one float at a time: no row list

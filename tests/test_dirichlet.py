@@ -1,5 +1,8 @@
 import itertools
 import math
+import random
+import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from dirlaw import dirichlet
+from dirlaw import cli, dirichlet
 from dirlaw.dirichlet import (DirichletParams, RectQuery, cdf, cdf_arcsine,
-                              cdf_monte_carlo, density, sample_many,
-                              simplex_mass)
+                              cdf_many, cdf_monte_carlo, density,
+                              sample_many, simplex_mass)
 from dirlaw.errors import (DomainError, IntegrityError, ResourceError,
-                           SingularityError)
+                           SingularityError, UnsupportedError)
+from dirlaw.report import rect_grid
 
 ARCSINE = DirichletParams((0.5, 0.5))
 
@@ -203,12 +207,12 @@ def test_cdf_reorders_pairs_exactly(alpha, u):
     for order in itertools.permutations(range(len(u))):
         a = tuple(alpha[i] for i in order) + alpha[-1:]
         c = tuple(u[i] for i in order)
-        assert abs(dirichlet._cdf_cached(a, c, 1e-9) - want) <= 1e-12
+        assert abs(dirichlet._cached_cdf([(a, c)], 1e-9)[0] - want) <= 1e-12
     # so the six orders of an exchangeable k = 4 corner share one entry
-    dirichlet._cdf_cached.cache_clear()
+    dirichlet._CACHE.clear()
     for p in itertools.permutations((0.1, 0.2, 0.3)):
         cdf((0.25,) * 4, p)
-    assert dirichlet._cdf_cached.cache_info().currsize == 1
+    assert len(dirichlet._CACHE) == 1
 
 
 @st.composite
@@ -299,6 +303,162 @@ def test_cdf_monotone_in_each_coordinate():
         val = cdf(alpha, (0.4, float(u)))
         assert val >= last - 1e-12
         last = val
+
+
+def _grid(k, m):
+    """The float corners of the k-part report grid of step 1/m."""
+    return [tuple(float(c) for c in u) for u in rect_grid(k, Fraction(1, m))]
+
+
+def _one_corner(alpha, u, tol=1e-9):
+    """The single-corner evaluation that batches replace: the pairs in
+    ``cdf``'s order, then one (1, N) @ (N,) product per level, no cache."""
+    pairs = sorted(zip(u, alpha))
+    alpha = tuple(a for _, a in pairs) + alpha[-1:]
+    u = tuple(c for c, _ in pairs)
+    if any(c == 0.0 for c in u):
+        return 0.0
+    prev = None
+    for level in range(3, dirichlet._MAX_LEVEL + 1):
+        val = float(dirichlet._stick_breaking(alpha, np.array([u]), level)[0])
+        if prev is not None and abs(val - prev) <= max(0.5 * tol, 4e-16):
+            return min(val, 1.0) if val > 1.0 and val - 1.0 < tol else val
+        prev = val
+    raise AssertionError("no convergence")
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("alpha,m", [
+    ((0.5, 0.5), 20), ((1 / 3,) * 3, 10), ((1 / 3,) * 3, 40),
+    ((0.25,) * 4, 8), ((0.25, 0.25, 0.5), 10), ((0.1, 0.2, 0.7), 10),
+    ((2.0, 3.0, 5.0), 10)])                  # continued-fraction law
+def test_cdf_many_is_each_corner_alone_bitwise(alpha, m):
+    corners = _grid(len(alpha), m)
+    dirichlet._CACHE.clear()
+    batch = cdf_many(alpha, corners)
+    alone = []
+    for u in corners:
+        dirichlet._CACHE.clear()
+        alone.append(cdf(alpha, u))
+    assert _bits(batch) == _bits(alone)
+    assert _bits(batch) == _bits(_one_corner(alpha, u) for u in corners)
+
+
+@pytest.mark.parametrize("alpha,m", [
+    ((0.1, 0.2, 0.7), 10), ((1 / 3,) * 3, 40), ((0.25,) * 4, 8),
+    ((2.0, 3.0, 5.0), 10)])
+def test_cdf_many_value_ignores_the_rest_of_its_batch(alpha, m):
+    corners = _grid(len(alpha), m)
+    dirichlet._CACHE.clear()
+    want = dict(zip(corners, cdf_many(alpha, corners)))
+    zeros = [(0.0,) * (len(alpha) - 1), (0.5,) * (len(alpha) - 2) + (0.0,)]
+    want.update(dict.fromkeys(zeros, 0.0))
+    rng = random.Random(7)
+    mixed = corners[::3]
+    for z in zeros:
+        mixed.insert(rng.randrange(len(mixed)), z)
+    for batch in (corners[::-1], rng.sample(corners, len(corners) // 3),
+                  corners[:5] * 3 + corners[::7], mixed):
+        dirichlet._CACHE.clear()
+        assert _bits(cdf_many(alpha, batch)) == _bits(want[u] for u in batch)
+
+
+def test_cdf_after_cdf_many_evaluates_nothing(monkeypatch):
+    for alpha, corners in (((0.1, 0.2, 0.7), _grid(3, 10)),
+                           ((0.25,) * 4, _grid(4, 5)),
+                           ((2.0, 3.0), _grid(2, 10))):
+        dirichlet._CACHE.clear()
+        want = cdf_many(alpha, corners)
+        mass = simplex_mass(alpha)
+        calls = []
+        with monkeypatch.context() as mp:
+            for name in ("_stick_breaking", "_betainc"):
+                mp.setattr(dirichlet, name, lambda *a, n=name: calls.append(n))
+            assert [cdf(alpha, u) for u in corners] == want
+            # the grid is symmetric, so the reversed corners are cached too
+            cdf_many(alpha, [u[::-1] for u in corners])
+            assert simplex_mass(alpha) == mass
+        assert calls == []
+
+
+@pytest.mark.parametrize("alpha,corners,tol,error,match", [
+    ((1 / 3,) * 3, [(0.1, 0.2), (0.5,)], 1e-9, DomainError, "dimension"),
+    ((1 / 3,) * 3, [(0.1, 0.2), (0.7, 0.7)], 1e-9, DomainError, "sum u_i"),
+    ((1 / 3,) * 3, [(0.1, 0.2), (math.nan, 0.1)], 1e-9, DomainError,
+     "finite"),
+    ((1 / 6,) * 6, [(0.1,) * 5], 1e-9, UnsupportedError, "at most"),
+    ((1 / 3,) * 3, [(0.1, 0.2), (0.2, 0.3)], 1e-2, DomainError, "tol")])
+def test_cdf_many_checks_every_corner_before_any_quadrature(
+        monkeypatch, alpha, corners, tol, error, match):
+    def refuse(*args):
+        raise AssertionError("a corner was evaluated before every check")
+
+    dirichlet._CACHE.clear()
+    monkeypatch.setattr(dirichlet, "_stick_breaking", refuse)
+    monkeypatch.setattr(dirichlet, "_betainc", refuse)
+    with pytest.raises(error, match=match):
+        cdf_many(alpha, corners, tol)
+
+
+def test_perms_k6_exits_2_without_quadrature(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(dirichlet, "_stick_breaking", refuse)
+    monkeypatch.setattr(dirichlet, "_betainc", refuse)
+    assert cli.main(["perms", "converge", "--n", "100", "--k", "6",
+                     "--grid", "1/10"]) == 2
+    assert "at most k - 1 = 4" in capsys.readouterr().err
+
+
+def test_cdf_many_raises_the_first_failing_corners_own_error():
+    # Dir(1e4, 1e4, 1e4) far above its mode: one corner whose levels never
+    # agree, two outside their Frechet bounds with different values
+    alpha = (1e4,) * 3
+    good = [(0.1, 0.2), (0.2, 0.1)]
+    bad = [(0.36, 0.45), (0.38, 0.4), (0.39, 0.39)]
+    alone = {}
+    for u in bad:
+        dirichlet._CACHE.clear()
+        with pytest.raises(IntegrityError) as err:
+            cdf(alpha, u)
+        alone[u] = str(err.value)
+    assert len(set(alone.values())) == 3
+    for order in itertools.permutations(bad):
+        dirichlet._CACHE.clear()
+        with pytest.raises(IntegrityError) as err:
+            cdf_many(alpha, [good[0], order[0], good[1], *order[1:]])
+        assert str(err.value) == alone[order[0]]
+
+
+def test_cdf_cache_is_bounded(monkeypatch):
+    assert dirichlet._CACHE_SIZE == 200_000
+    alpha, corners = (0.1, 0.2, 0.7), _grid(3, 10)
+    dirichlet._CACHE.clear()
+    want = cdf_many(alpha, corners)
+    monkeypatch.setattr(dirichlet, "_CACHE_SIZE", 5)
+    dirichlet._CACHE.clear()
+    assert cdf_many(alpha, corners) == want
+    assert len(dirichlet._CACHE) == 5
+
+
+def test_cdf_many_working_set_is_bounded():
+    """The 4,950 corners of the k = 3 grid of step 1/100 converge by level
+    4 or 5, and each level runs at most N rows (N nodes) per call: the
+    peak stays below one (corners x N) array of level 4, which one call
+    with every row would hold several times over."""
+    corners = _grid(3, 100)
+    dirichlet._CACHE.clear()
+    tracemalloc.start()
+    try:
+        cdf_many((1 / 3,) * 3, corners)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(corners) * len(dirichlet.nodes(4)[2]) * 8
 
 
 def test_density_beta_value():

@@ -15,6 +15,7 @@ from dirlaw import series
 from dirlaw.arith import (build_spf_sieve, factorize, least_prime_powers,
                           parse_model, tau_k)
 from dirlaw.errors import DomainError, ResourceError
+from dirlaw.integers import weighted_sum_S
 from dirlaw.series import (a0_local_check, d_direct, d_euler, prime_sum_diag,
                            tau_box_sum)
 
@@ -317,6 +318,41 @@ def test_row_sums_overflow_as_fsum():
         math.fsum(rows[1])
     with pytest.raises(OverflowError, match="intermediate overflow"):
         series._row_sums(rows)
+
+
+def test_row_sums_take_plus_zero_rows_without_fsum(sieve_small):
+    """A row of +0.0 alone sums to +0.0 with no fsum fallback; a row that
+    holds a -0.0, an inf or a nan still falls back.  The box of
+    ``weighted_sum_S`` starts every axis at (log 1)^2 = 0, so each row
+    with n_j = 1 off the last axis is such a row."""
+    rows = np.zeros((6, 5))
+    rows[1, 2], rows[2, 0], rows[3, 4], rows[4] = -0.0, math.inf, math.nan, 1
+    rows[5] = -0.0
+    with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+        got = series._row_sums(rows)
+    assert fsum.call_count == 4            # rows 1, 2, 3 and 5
+    want = [math.fsum(row) for row in rows]
+    assert math.isnan(got[3]) and math.isnan(want[3])
+    del got[3], want[3]
+    assert np.array_equal(np.array(got).view(np.int64),
+                          np.array(want).view(np.int64))
+
+    zero_rows, fallbacks = [], []
+    row_sums, real_fsum = series._row_sums, math.fsum
+
+    def counted(block):
+        zero_rows.append(int((block == 0.0).all(axis=1).sum()))
+        return row_sums(block)
+
+    def fsum(row):
+        if isinstance(row, memoryview):
+            fallbacks.append(any(row))
+        return real_fsum(row)
+
+    with mock.patch.object(series, "_row_sums", counted), \
+            mock.patch("math.fsum", side_effect=fsum):
+        weighted_sum_S((30.0, 30.0, 30.0), 3, sieve_small)
+    assert sum(zero_rows) == 59 and all(fallbacks)
 
 
 def test_row_sums_certify_a_benchmark_block():
