@@ -143,17 +143,6 @@ def factorize(n: int, sieve: SpfSieve) -> FactoredInteger:
     return FactoredInteger(n, tuple(out))
 
 
-def tau_k(fn: FactoredInteger, k: int) -> int:
-    """Number of ordered k-tuples with product n: prod C(v+k-1, k-1).
-    It reads only the exponents of ``fn.factors``."""
-    if k < 1:
-        raise DomainError("k must be at least 1")
-    out = 1
-    for _, v in fn.factors:
-        out *= math.comb(v + k - 1, k - 1)
-    return out
-
-
 def rising_binoms(a, m: int) -> list:
     """C(a + j - 1, j) = prod_{i<=j} (a + i - 1) / i for j = 0..m.
 

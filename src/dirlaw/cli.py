@@ -200,10 +200,17 @@ def _cmd_dirichlet_sample(args) -> int:
 
 # -------------------------------------------------------------- integers
 
+def _sieve_for(*xs: int):
+    """The sieve covering every scale x, each checked x >= 1 first."""
+    if min(xs) < 1:
+        raise DomainError("x must be positive")
+    return get_spf_sieve(max(xs))
+
+
 def _cmd_integers_exact(args) -> int:
     model = _model_for(args, args.k)
     rect_fractions(args.u, model.k)    # domain, before sieving
-    sieve = get_spf_sieve(args.x)
+    sieve = _sieve_for(args.x)
     value = exact_lhs(args.x, model.k, model, args.u, sieve)
     print(_fmt_value(value))
     return 0
@@ -213,7 +220,7 @@ def _cmd_integers_run(args) -> int:
     model = _model_for(args, args.k)
     bins = grid_bins(args.grid)        # domain, before sieving
     rect_grid(model.k, args.grid)
-    sieve = get_spf_sieve(args.x)
+    sieve = _sieve_for(args.x)
     report = sup_deviation(args.x, model.k, model, args.grid, sieve)
     params = {"x": args.x, "k": model.k, "model": args.model,
               "grid": str(Fraction(args.grid)), "format": args.format}
@@ -224,7 +231,7 @@ def _cmd_integers_run(args) -> int:
 def _cmd_integers_mc(args) -> int:
     model = _model_for(args, args.k)
     mc_corner(model.k, model, args.u, args.samples)  # before sieving
-    sieve = get_spf_sieve(args.x)
+    sieve = _sieve_for(args.x)
     est, err = mc_lhs(args.x, model.k, model, args.u, args.samples,
                       args.seed, sieve)
     print(f"estimate={fmt(est)} stderr={fmt(err)}")
@@ -235,7 +242,7 @@ def _cmd_integers_converge(args) -> int:
     model = _model_for(args, args.k)
     grid_bins(args.grid)               # domain, before sieving
     rect_grid(model.k, args.grid)
-    sieve = get_spf_sieve(max(args.x))
+    sieve = _sieve_for(*args.x)
     reports = convergence_study(args.x, model.k, model, args.grid, sieve)
     params = {"x": list(args.x), "k": model.k, "model": args.model,
               "grid": str(Fraction(args.grid)), "format": args.format,

@@ -42,8 +42,7 @@ together: one pass per level over every corner still pending, at most N
 corners (N nodes) per call, with convergence decided corner by corner.
 Each corner's outer integral is reduced by its own dot with the weights,
 as a lone corner's is, so no value depends on the rest of its batch.
-``cdf`` is its one-corner case, and ``simplex_mass`` reads the same
-bounded cache.
+``cdf`` is its one-corner case.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from .quadrature import BERNOULLI, nodes
 _MAX_CDF_DIMS = 4          # CDF coordinate cap (k - 1)
 _MAX_LEVEL = 6             # finest tanh-sinh level tried by the CDF
 _SAMPLE_CELLS = 10 ** 7    # most samples * k floats ``sample_many`` holds
-_MC_BATCH = 1_000_000      # draws per ``cdf_monte_carlo`` batch
 # largest alpha_i at which ``_log_norm`` keeps 1e-9 relative accuracy (worst
 # error vs. mpmath over max(1, |value|), k <= 5: 1.6e-10 at 1e5, 2e-9 at 1e6)
 _MAX_ALPHA = 1e5
@@ -166,19 +164,6 @@ def density(params, point) -> float:
         else:
             logs += (a - 1.0) * math.log(c)
     return math.exp(_log_norm(alpha) + logs)
-
-
-def cdf_arcsine(u: float) -> float:
-    """Closed form for k=2, alpha=(1/2,1/2): (2/pi) * arcsin(sqrt(u)).
-
-    Above u = 1/2 it is 1 - (2/pi) arcsin(sqrt(1 - u)), where 1 - u is
-    exact, so F keeps its full accuracy next to u = 1.
-    """
-    if not 0.0 <= u <= 1.0:
-        raise DomainError("arcsine CDF argument must lie in [0,1]")
-    if u > 0.5:
-        return 1.0 - 2.0 / math.pi * math.asin(math.sqrt(1.0 - u))
-    return 2.0 / math.pi * math.asin(math.sqrt(u))
 
 
 def _betainc(a: float, b: float, x: np.ndarray) -> np.ndarray:
@@ -544,19 +529,6 @@ def cdf(params, rect, tol: float = 1e-9) -> float:
     return cdf_many(params, [rect], tol)[0]
 
 
-def simplex_mass(params, tol: float = 1e-9) -> float:
-    """Total mass of the density over the whole simplex (ideally 1).
-
-    The stick-breaking rule of ``cdf`` at the corner u = (1, ..., 1),
-    with alpha in the order given, where every conditional corner clips
-    to 1; a direct check on the quadrature plus normalization constants.
-    """
-    alpha = _as_alpha(params)
-    if len(alpha) - 1 > _MAX_CDF_DIMS:
-        raise UnsupportedError("mass check supports at most k - 1 = 4")
-    return _cached_cdf([(alpha, tuple(1.0 for _ in alpha[:-1]))], tol)[0]
-
-
 def sample_many(params, n: int, seed: int) -> np.ndarray:
     """``n`` draws as an (n, k) array; deterministic for a fixed seed."""
     alpha = _as_alpha(params)
@@ -568,29 +540,3 @@ def sample_many(params, n: int, seed: int) -> np.ndarray:
     g = rng.gamma(shape=np.asarray(alpha), size=(n, len(alpha)))
     return g / g.sum(axis=1, keepdims=True)
 
-
-def cdf_monte_carlo(params, rect, n_samples: int, seed: int)\
-        -> tuple[float, float]:
-    """Monte Carlo estimate of the rectangle CDF: (estimate, stderr).
-
-    The independent-route oracle for ``cdf``: draws are batched so memory
-    stays bounded at ~_MC_BATCH * k floats.
-    """
-    alpha = _as_alpha(params)
-    u = _as_corner(rect)
-    if len(u) != len(alpha) - 1:
-        raise DomainError("rectangle dimension must be k - 1")
-    if n_samples < 1:
-        raise DomainError("sample count must be positive")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    hits = 0
-    done = 0
-    ua = np.asarray(u)
-    while done < n_samples:
-        m = min(_MC_BATCH, n_samples - done)
-        g = rng.gamma(shape=np.asarray(alpha), size=(m, len(alpha)))
-        t = g[:, :-1] / g.sum(axis=1, keepdims=True)
-        hits += int(np.all(t <= ua, axis=1).sum())
-        done += m
-    p = hits / n_samples
-    return p, math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples)

@@ -1,6 +1,6 @@
-"""Cycle statistics of uniform random permutations: Stirling numbers,
-the k-block ordered set-decomposition statistic, and its convergence to
-the Dirichlet(1/k, ..., 1/k) law.
+"""Cycle statistics of uniform random permutations: cycle types, the
+k-block ordered set-decomposition statistic, and its convergence to the
+Dirichlet(1/k, ..., 1/k) law.
 
 The mean rectangle statistic admits two independent routes: a closed
 binomial-product sum over block sizes, and a brute force over cycle
@@ -21,7 +21,7 @@ from .arith import Floats, Residues, rising_binoms, word_primes
 # cdf is unused: perfbench/tracer.py wraps it (test_tracer.py)
 from .dirichlet import cdf  # noqa: F401
 from .dirichlet import cdf_many
-from .errors import DomainError, IntegrityError
+from .errors import DomainError
 from .report import (DeviationReport, deviation_report, rect_fractions,
                      rect_grid)
 
@@ -76,54 +76,6 @@ def cycle_types(n: int) -> Iterator[CycleType]:
         for l in p:
             counts[l] = counts.get(l, 0) + 1
         yield CycleType(n, tuple(sorted(counts.items())))
-
-
-@dataclass(frozen=True)
-class StirlingTable:
-    """rows[n][j] = number of permutations of n elements with j cycles."""
-
-    max_n: int
-    rows: tuple[tuple[int, ...], ...]
-
-
-def build_stirling(max_n: int) -> StirlingTable:
-    if max_n < 0:
-        raise DomainError("max_n must be nonnegative")
-    rows = [(1,)]
-    for n in range(1, max_n + 1):
-        prev = rows[-1]
-        row = [0] * (n + 1)
-        for j in range(1, n + 1):
-            # [n, j] = (n-1)[n-1, j] + [n-1, j-1]
-            row[j] = (n - 1) * (prev[j] if j <= n - 1 else 0) + prev[j - 1]
-        rows.append(tuple(row))
-    return StirlingTable(max_n, tuple(rows))
-
-
-def stirling_first(n: int, j: int, table: StirlingTable) -> int:
-    if not 0 <= j <= n <= table.max_n:
-        raise DomainError("need 0 <= j <= n <= table.max_n")
-    return table.rows[n][j]
-
-
-def mean_tau_alpha(n: int, alpha, table: StirlingTable) -> Fraction:
-    """Mean of alpha^(cycle count) over S_n, two ways.
-
-    The rising-binomial value prod_{j<=n} (alpha+j-1)/j must equal the
-    Stirling sum (1/n!) sum_j [n, j] alpha^j; a mismatch means a broken
-    table and raises IntegrityError.  n = 0 gives 1.
-    """
-    a = Fraction(alpha)
-    if a <= 0:
-        raise DomainError("alpha must be positive")
-    if n < 0 or n > table.max_n:
-        raise DomainError("n out of table range")
-    binom = rising_binoms(a, n)[n]
-    stirl = sum(table.rows[n][j] * a ** j
-                for j in range(n + 1)) / Fraction(math.factorial(n))
-    if binom != stirl:
-        raise IntegrityError("Stirling identity failed; table corrupt")
-    return binom
 
 
 # ------------------------------------------------------- mean statistic

@@ -289,28 +289,24 @@ def check_statistic(q: int, n: int, k: int, exact: bool = False):
                             "the 6e8 work guard")
 
 
-def exact_lhs_poly(q: int, n: int, k: int, rect,
-                   table: IrreducibleTable | None = None) -> Fraction:
+def exact_lhs_poly(q: int, n: int, k: int, rect) -> Fraction:
     """Mean over all monic F of degree n of the fraction of ordered
     k-tuples (D_1, ..., D_k) with product F and deg D_i <= floor(n*u_i)
     for i < k.  Exact rational: one corner of ``_residue_table``,
-    recombined by the Chinese remainder theorem.  ``table`` is accepted
-    and not read: the statistic needs only the counts I_q(d)."""
+    recombined by the Chinese remainder theorem."""
     caps = tuple(math.floor(n * c) for c in rect_fractions(rect, k))
     check_statistic(q, n, k, exact=True)
     bound, primes = _crt_basis(q, n, k)
     return Residues(primes).fraction(_residue_table(q, n, k)[caps], bound)
 
 
-def deviation_poly(q: int, n: int, k: int, grid_step,
-                   table: IrreducibleTable | None = None) -> DeviationReport:
+def deviation_poly(q: int, n: int, k: int, grid_step) -> DeviationReport:
     """Grid sup of |mean - Dir(1/k, ..., 1/k) CDF|.
 
     One complex128 ``_corner_table`` serves every grid point; the limit
     CDF of the whole grid is one ``cdf_many`` call, taken first, so a k
     it refuses costs no table.  The rate normalization is n^(1/k),
-    matching the expected decay of the deviation.  ``table`` is accepted
-    and not read.
+    matching the expected decay of the deviation.
     """
     check_statistic(q, n, k)
     step = Fraction(grid_step)

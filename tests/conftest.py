@@ -1,8 +1,8 @@
 import pytest
 
 from dirlaw.arith import build_spf_sieve
-from dirlaw.perms import build_stirling
 from dirlaw.polyfield import build_irreducibles
+from oracles import stirling_rows
 
 
 @pytest.fixture(scope="session")
@@ -12,7 +12,7 @@ def sieve_small():
 
 @pytest.fixture(scope="session")
 def stirling50():
-    return build_stirling(50)
+    return stirling_rows(50)
 
 
 @pytest.fixture(scope="session")

@@ -16,18 +16,17 @@ import numpy as np
 import pytest
 
 from dirlaw import integers
-from dirlaw.arith import (build_spf_sieve, factorize, model_uniform,
-                          parse_model, tau_k)
+from dirlaw.arith import (build_spf_sieve, model_uniform, parse_model,
+                          rising_binoms)
 from dirlaw.cli import main as cli_main
-from dirlaw.dirichlet import (cdf, cdf_arcsine, cdf_monte_carlo,
-                              simplex_mass)
+from dirlaw.dirichlet import cdf
 from dirlaw.integers import (accumulate_histogram, convergence_study,
                              exact_lhs, sup_deviation, weighted_sum_S)
-from dirlaw.perms import (build_stirling, deviation_perm, lhs_perm_brute,
-                          lhs_perm_exact, mean_tau_alpha)
-from dirlaw.polyfield import build_irreducibles, deviation_poly, exact_lhs_poly
+from dirlaw.perms import deviation_perm, lhs_perm_brute, lhs_perm_exact
+from dirlaw.polyfield import deviation_poly, exact_lhs_poly
 from dirlaw.report import rect_grid
 from dirlaw.series import a0_local_check, d_direct, d_euler
+from oracles import arcsine, cdf_monte_carlo, simplex_mass
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +53,11 @@ def test_criterion_02_mean_tau_dual_routes(stirling50):
     alphas = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2),
               Fraction(7, 3)]
     for alpha in alphas:
-        assert mean_tau_alpha(0, alpha, stirling50) == 1
+        binoms = rising_binoms(alpha, 50)
+        assert binoms[0] == 1
         for n in range(0, 51):
-            mean_tau_alpha(n, alpha, stirling50)  # dual route, self-checked
+            stirl = sum(c * alpha ** j for j, c in enumerate(stirling50[n]))
+            assert binoms[n] == stirl / math.factorial(n)
     print("\nPASS criterion 2: dual mean computations agree exactly for "
           f"n <= 50 at {len(alphas)} alphas, n=0 gives 1")
 
@@ -65,8 +66,7 @@ def test_criterion_03_hand_oracles():
     sv = build_spf_sieve(4)
     got_i = exact_lhs(4, 2, model_uniform(2), (Fraction(1, 2),), sv)
     assert got_i == Fraction(2, 3)
-    table = build_irreducibles(2, 1)
-    got_p = exact_lhs_poly(2, 2, 2, (Fraction(1, 2),), table)
+    got_p = exact_lhs_poly(2, 2, 2, (Fraction(1, 2),))
     assert got_p == Fraction(31, 48)
     got_m = lhs_perm_exact(2, 2, (Fraction(1, 2),))
     assert got_m == Fraction(5, 8)
@@ -77,10 +77,10 @@ def test_criterion_04_arcsine_cross_check():
     worst = 0.0
     for m in range(0, 101):
         u = m / 100
-        diff = abs(cdf((0.5, 0.5), (u,)) - cdf_arcsine(u))
+        diff = abs(cdf((0.5, 0.5), (u,)) - arcsine(u))
         worst = max(worst, diff)
     assert worst <= 1e-8
-    print(f"\nPASS criterion 4: quadrature vs arcsine closed form, "
+    print(f"\nPASS criterion 4: quadrature vs 30-digit arcsine law, "
           f"sup diff {worst:.2e} <= 1e-8 on the 0.01 grid")
 
 
@@ -143,9 +143,9 @@ def test_criterion_07_integer_convergence(sieve_1e6):
     assert ratio <= 3.0, scaled
 
 
-def test_criterion_08_poly_and_perm_convergence(irr2):
-    p4 = deviation_poly(2, 4, 2, Fraction(1, 10), irr2)
-    p16 = deviation_poly(2, 16, 2, Fraction(1, 10), irr2)
+def test_criterion_08_poly_and_perm_convergence():
+    p4 = deviation_poly(2, 4, 2, Fraction(1, 10))
+    p16 = deviation_poly(2, 16, 2, Fraction(1, 10))
     assert p16.sup_dev < p4.sup_dev
     lines = [f"polys q=2 n=4->16: {p4.sup_dev:.4f} -> {p16.sup_dev:.4f}"]
     for k in (2, 3):

@@ -12,9 +12,10 @@ from dirlaw.arith import (BUILTIN_MODELS, Residues, build_spf_sieve,
                           model_coprime, model_residues, model_tau_weights,
                           model_two_squares, model_uniform,
                           multiplicative_table, parse_model, primes_up_to,
-                          sample_factorization, smallest_prime_factor, tau_k,
+                          sample_factorization, smallest_prime_factor,
                           word_primes)
 from dirlaw.errors import DomainError, IntegrityError, ResourceError
+from oracles import tau_k
 
 
 def _divisors(n):

@@ -111,7 +111,32 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
             (("dirichlet", "cdf", "--alpha", "1,1", "--u", "nan"),
              "rectangle corner coordinates must be finite"),
             (("dirichlet", "density", "--alpha", "1,1", "--t", "nan,0.5"),
-             "simplex coordinates must be finite")]:
+             "simplex coordinates must be finite"),
+            # huge but finite s overflows s log n and the zeta tail
+            (("series", "direct", "--s", "2+1e308j,2", "--nmax", "10"),
+             "must be at most 1e+06"),
+            (("series", "primesum", "--model", "uniform", "--k", "2", "--j",
+              "0", "--s", "2+1e308j", "--pmax", "10"),
+             "must be at most 1e+06"),
+            (("series", "direct", "--s", "2,2+1e308j", "--nmax", "10"),
+             "must be at most 1e+06"),
+            (("series", "direct", "--s", "1e308,2", "--nmax", "10"),
+             "must be at most 1e+06"),
+            (("series", "euler", "--s", "2+1e308j,2", "--pmax", "10",
+              "--vmax", "60"), "must be at most 1e+06"),
+            (("series", "euler", "--s", "1e308,2", "--pmax", "10", "--vmax",
+              "60"), "must be at most 1e+06"),
+            (("series", "euler", "--s", "1.7e308+1.7e308j,2"),
+             "must be at most 1e+06"),
+            # x < 1 is refused before sieving, as ``converge`` refuses it
+            (("integers", "exact", "--x", "0", "--k", "2", "--u", "1/2"),
+             "x must be positive"),
+            (("integers", "run", "--x", "0", "--k", "2"),
+             "x must be positive"),
+            (("integers", "mc", "--x=-5", "--k", "2", "--u", "1/2"),
+             "x must be positive"),
+            (("integers", "converge", "--x=-3,0", "--k", "2"),
+             "x must be positive")]:
         code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and not out
     # the polys arguments are checked before a table is built or cached

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from dirlaw import cli, dirichlet
-from dirlaw.dirichlet import (DirichletParams, RectQuery, cdf, cdf_arcsine,
-                              cdf_many, cdf_monte_carlo, density,
-                              sample_many, simplex_mass)
+from dirlaw.dirichlet import (DirichletParams, RectQuery, cdf, cdf_many,
+                              density, sample_many)
 from dirlaw.errors import (DomainError, IntegrityError, ResourceError,
                            SingularityError, UnsupportedError)
 from dirlaw.report import rect_grid
+from oracles import arcsine, cdf_monte_carlo, simplex_mass
 
 ARCSINE = DirichletParams((0.5, 0.5))
 
@@ -25,12 +25,10 @@ ARCSINE = DirichletParams((0.5, 0.5))
 def test_arcsine_closed_form():
     for u in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0, 1 - 2 ** -53]:
         got = cdf(ARCSINE, (u,))
-        assert abs(got - cdf_arcsine(u)) <= 1e-15
-    assert cdf_arcsine(0.25) == pytest.approx(1 / 3, abs=1e-15)
+        assert abs(got - arcsine(u)) <= 1e-15
+    assert cdf(ARCSINE, (0.25,)) == pytest.approx(1 / 3, abs=1e-15)
     # 1 - (2/pi) asin(sqrt(2^-53)); the form asin(sqrt(u)) is 2.8e-9 off
-    with mpmath.workdps(30):
-        want = 2 / mpmath.pi * mpmath.asin(mpmath.sqrt(1 - mpmath.mpf(2) ** -53))
-    assert abs(cdf_arcsine(1 - 2 ** -53) - float(want)) <= 1e-16
+    assert abs(cdf(ARCSINE, (1 - 2 ** -53,)) - arcsine(1 - 2 ** -53)) <= 1e-16
 
 
 def _betainc_reference(a, b, x):
@@ -496,6 +494,6 @@ def test_sampling_is_deterministic():
 
 def test_monte_carlo_agrees_with_quadrature():
     est, err = cdf_monte_carlo(ARCSINE, (0.3,), 200_000, seed=11)
-    want = cdf_arcsine(0.3)
+    want = arcsine(0.3)
     assert abs(est - want) <= 4 * err
     assert err < 0.005

@@ -6,8 +6,11 @@ import importlib
 import dirlaw
 
 GONE = {
-    "arith": ("tau_real", "total_g", "local_g_sum"),
-    "dirichlet": ("sample",),
+    "arith": ("tau_real", "total_g", "local_g_sum", "tau_k"),
+    "dirichlet": ("sample", "cdf_arcsine", "cdf_monte_carlo",
+                  "simplex_mass"),
+    "perms": ("StirlingTable", "build_stirling", "stirling_first",
+              "mean_tau_alpha"),
     "polyfield": ("PolyQ", "poly_from_code", "FactoredPoly", "poly_mul",
                   "poly_divrem", "factor_poly"),
 }

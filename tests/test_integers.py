@@ -21,6 +21,7 @@ from dirlaw.integers import (accumulate_histogram, convergence_study,
                              empirical_cdf, exact_lhs, mc_lhs, sup_deviation,
                              weighted_sum_S)
 from dirlaw.report import rect_grid
+from oracles import tau_k
 
 
 def _divisors(n):
@@ -608,7 +609,6 @@ def test_weighted_sum_matches_double_loop(sieve_small):
     total, main, ratio = weighted_sum_S((float(bound), float(bound)), 2,
                                         sieve_small)
 
-    from dirlaw.arith import tau_k
     rows = []
     for d1 in range(2, bound + 1):
         terms = []
@@ -629,7 +629,6 @@ def test_weighted_sum_matches_plain_loop_on_unequal_boxes(data, sieve_small):
     bounds = [data.draw(st.floats(math.e, top)) for _ in range(k)]
     total, _, _ = weighted_sum_S(bounds, k, sieve_small)
 
-    from dirlaw.arith import tau_k
     log_sq = [0.0, 0.0] + [math.log(d) ** 2
                            for d in range(2, math.floor(max(bounds)) + 1)]
     rows = []

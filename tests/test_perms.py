@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from dirlaw import perms
 from dirlaw.arith import rising_binoms
 from dirlaw.errors import DomainError
-from dirlaw.perms import (build_stirling, cycle_types, deviation_perm,
-                          lhs_perm_brute, lhs_perm_exact, mean_tau_alpha,
-                          stirling_first)
+from dirlaw.perms import (cycle_types, deviation_perm, lhs_perm_brute,
+                          lhs_perm_exact)
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
@@ -26,14 +25,12 @@ def test_cycle_types_enumerate_partitions():
 
 def test_stirling_row_sums_and_values(stirling50):
     for n in range(0, 12):
-        total = sum(stirling_first(n, j, stirling50)
-                    for j in range(0, n + 1))
-        assert total == math.factorial(n)
+        assert sum(stirling50[n]) == math.factorial(n)
     # [4 2] = 11, [5 3] = 35 from the classical table
-    assert stirling_first(4, 2, stirling50) == 11
-    assert stirling_first(5, 3, stirling50) == 35
-    assert stirling_first(0, 0, stirling50) == 1
-    assert stirling_first(6, 0, stirling50) == 0
+    assert stirling50[4][2] == 11
+    assert stirling50[5][3] == 35
+    assert stirling50[0][0] == 1
+    assert stirling50[6][0] == 0
 
 
 def test_stirling_counts_cycle_types(stirling50):
@@ -43,7 +40,7 @@ def test_stirling_counts_cycle_types(stirling50):
             by_cycles[t.cycle_count] = (by_cycles.get(t.cycle_count, 0)
                                         + t.class_size)
         for j in range(0, n + 1):
-            assert by_cycles.get(j, 0) == stirling_first(n, j, stirling50)
+            assert by_cycles.get(j, 0) == stirling50[n][j]
 
 
 def brute_mean_tau(n, alpha):
@@ -56,9 +53,12 @@ def brute_mean_tau(n, alpha):
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3),
                                    Fraction(2), Fraction(7, 3)])
 def test_mean_tau_alpha_matches_class_sum(alpha, stirling50):
+    """The mean of alpha^(cycle count) three ways: the rising binomial,
+    the Stirling sum (1/n!) sum_j [n, j] alpha^j and the cycle types."""
     for n in range(0, 12):
-        assert mean_tau_alpha(n, alpha, stirling50) == brute_mean_tau(n,
-                                                                      alpha)
+        stirl = sum(c * alpha ** j for j, c in enumerate(stirling50[n]))
+        assert rising_binoms(alpha, n)[n] == stirl / math.factorial(n) \
+            == brute_mean_tau(n, alpha)
 
 
 def test_hand_oracle_n2():

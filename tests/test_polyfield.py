@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirlaw import polyfield
-from dirlaw.arith import compositions, tau_k
+from dirlaw.arith import compositions
 from dirlaw.errors import DomainError, IntegrityError, ResourceError
 from dirlaw.perms import cycle_types, lhs_perm_exact
 from dirlaw.polyfield import (IrreducibleTable, build_irreducibles,
                               deviation_poly, exact_lhs_poly,
                               irreducible_count)
 from dirlaw.report import rect_grid
+from oracles import tau_k
 from polyoracle import (PolyQ, factor_poly, poly_divrem, poly_from_code,
                         poly_mul)
 
@@ -167,8 +168,7 @@ def brute_poly_lhs(q, n, k, u, table):
 
 
 def test_hand_oracle_q2_n2():
-    table = build_irreducibles(2, 1)
-    got = exact_lhs_poly(2, 2, 2, (Fraction(1, 2),), table)
+    got = exact_lhs_poly(2, 2, 2, (Fraction(1, 2),))
     assert got == Fraction(31, 48)
 
 
@@ -179,26 +179,25 @@ def test_exact_lhs_poly_matches_brute(q, k, irr2, irr3):
     for n in range(1, 6 if q < 5 else 4):
         for u in [(Fraction(1, 3),) * (k - 1), (Fraction(1, 2),) * (k - 1),
                   (Fraction(1),) * (k - 1)]:
-            got = exact_lhs_poly(q, n, k, u, table)
+            got = exact_lhs_poly(q, n, k, u)
             want = brute_poly_lhs(q, n, k, u, table)
             assert got == want, (q, n, k, u)
 
 
-def test_engine_enumerates_no_polynomial(irr2, monkeypatch):
+def test_engine_enumerates_no_polynomial(monkeypatch):
     # the mean statistic comes from irreducible counts, not a sieve walk
     def refuse(*args):
         raise AssertionError("the polys engine enumerated polynomials")
 
     monkeypatch.setattr(polyfield, "_factor_sieve", refuse)
-    assert exact_lhs_poly(2, 2, 2, (Fraction(1, 2),), irr2) \
-        == Fraction(31, 48)
-    rep = deviation_poly(2, 16, 3, Fraction(1, 4), irr2)
+    assert exact_lhs_poly(2, 2, 2, (Fraction(1, 2),)) == Fraction(31, 48)
+    rep = deviation_poly(2, 16, 3, Fraction(1, 4))
     assert rep.scale == 16 and len(rep.points) == 6
 
 
-def test_full_box_is_one(irr2):
+def test_full_box_is_one():
     for n in (1, 4, 7):
-        assert exact_lhs_poly(2, n, 2, (Fraction(1),), irr2) == 1
+        assert exact_lhs_poly(2, n, 2, (Fraction(1),)) == 1
 
 
 @lru_cache(maxsize=4096)
@@ -320,8 +319,8 @@ def test_float_path_tends_to_perms_as_q_grows():
     assert gaps[1000003] < 1e-10
 
 
-def test_deviation_poly_report(irr2):
-    rep = deviation_poly(2, 8, 2, Fraction(1, 4), irr2)
+def test_deviation_poly_report():
+    rep = deviation_poly(2, 8, 2, Fraction(1, 4))
     assert rep.kind == "polys" and rep.scale == 8
     assert rep.model_id == "q2-uniform"
     assert rep.sup_dev == max(rep.deviation) < 0.2
@@ -330,7 +329,7 @@ def test_deviation_poly_report(irr2):
     assert math.isfinite(rep.scaled_sup_dev)
 
 
-def test_poly_domain_errors(irr2):
+def test_poly_domain_errors():
     with pytest.raises(DomainError):
         PolyQ(4, (1, 1))  # q must be prime
     with pytest.raises(DomainError):
@@ -341,9 +340,6 @@ def test_poly_domain_errors(irr2):
         exact_lhs_poly(10 ** 18 + 3, 2, 2, (Fraction(1, 2),))
     with pytest.raises(ResourceError, match="q must be at most 13"):
         build_irreducibles(17, 2)  # the sieve keeps its cap
-    # the table is not read, so one of degree 8 serves n = 18
-    assert exact_lhs_poly(2, 18, 2, (Fraction(1, 2),), irr2) \
-        == exact_lhs_poly(2, 18, 2, (Fraction(1, 2),))
     # the work guard: in floats at (9, 7), by its 159 residue rings at
     # (200, 2), where the float count alone is 8.7e6
     for n, k in [(9, 7), (200, 2)]:
