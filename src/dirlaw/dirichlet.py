@@ -60,7 +60,10 @@ from .errors import (DirlawError, DomainError, IntegrityError,
 from .quadrature import BERNOULLI, nodes
 
 _MAX_CDF_DIMS = 4          # CDF coordinate cap (k - 1)
-_MAX_LEVEL = 6             # finest tanh-sinh level tried by the CDF
+# the CDF's tanh-sinh levels: from _FIRST_LEVEL (h = 1/4) to _MAX_LEVEL;
+# levels 2 and 3 already agree to about 1e-16 on every law the engines use
+_FIRST_LEVEL = 2
+_MAX_LEVEL = 6
 _SAMPLE_CELLS = 10 ** 7    # most samples * k floats ``sample_many`` holds
 # largest alpha_i at which ``_log_norm`` keeps 1e-9 relative accuracy (worst
 # error vs. mpmath over max(1, |value|), k <= 5: 1.6e-10 at 1e5, 2e-9 at 1e6)
@@ -411,10 +414,12 @@ def _evaluate(alpha: tuple[float, ...], u: np.ndarray,
               tol: float) -> list[float]:
     """F at each row of u, (m, d), every coordinate positive.
 
-    The level is raised from 3 until two levels agree within tol / 2, row
-    by row; each level evaluates every row still pending, at most N (the
-    level's node count) rows per call, so a call holds at most N rows by
-    N nodes.  A one-coordinate row is ``_betainc`` at every level.
+    The level is raised from ``_FIRST_LEVEL`` (2) until two consecutive
+    levels agree within max(tol / 2, 4e-16), row by row, and the finer
+    value is kept; each level evaluates every row still pending, at most
+    N (the level's node count) rows per call, so a call holds at most N
+    rows by N nodes.  A one-coordinate row is ``_betainc`` at every
+    level.
     """
     m, d = u.shape
     out = np.empty(m)
@@ -422,7 +427,7 @@ def _evaluate(alpha: tuple[float, ...], u: np.ndarray,
     beta = _betainc(alpha[0], math.fsum(alpha[1:]), u[:, 0]) if d == 1 \
         else None
     prev = None
-    for level in range(3, _MAX_LEVEL + 1):
+    for level in range(_FIRST_LEVEL, _MAX_LEVEL + 1):
         if beta is not None:
             val = beta[todo]
         else:
@@ -493,7 +498,8 @@ def cdf_many(params, corners, tol: float = 1e-9) -> list[float]:
     Stick-breaking recursion: the incomplete beta function for k = 2 (a
     power series when both alpha_i <= 1, a continued fraction otherwise),
     and for larger k one tanh-sinh integral per coordinate but the last.
-    The level is raised from 3 until two levels agree within tol / 2.
+    The level is raised from ``_FIRST_LEVEL`` (2) until two consecutive
+    levels agree within max(tol / 2, 4e-16); the finer one is returned.
     The pairs (u_i, alpha_i), i < k, are put in one order (u ascending,
     then alpha) first: F_alpha(u) = F_(pi alpha)(pi u) for every order pi,
     so the corners of one exchangeable class share one cache entry.  The

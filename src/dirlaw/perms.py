@@ -177,8 +177,11 @@ def deviation_perm(n: int, k: int, grid_step) -> DeviationReport:
     whole grid is one ``cdf_many`` call, taken first; it checks every
     corner before it evaluates any, so a k it refuses evaluates no
     corner.  The rate normalization is n^(1/k), the expected deviation
-    decay.
+    decay, so n must be at least 1: at n = 0 every scaled deviation
+    would read 0.
     """
+    if n < 1:
+        raise DomainError("n must be at least 1 for a deviation report")
     step = Fraction(grid_step)
     points = rect_grid(k, step)
     alpha = tuple(1.0 / k for _ in range(k))

@@ -338,6 +338,7 @@ def d_euler(s, k: int, prime_max: int, v_max: int)\
     pt = _as_point(s)
     if len(pt.s) != k or k < 1:
         raise DomainError("s must have exactly k >= 1 coordinates")
+    _check_prime_max(prime_max)
     if v_max < 1:
         raise DomainError("v_max must be at least 1")
     sig_min = min(pt.sigmas)
@@ -386,9 +387,16 @@ def d_euler(s, k: int, prime_max: int, v_max: int)\
 
 
 def _prime_count_bound(x: int) -> float:
-    """At least max(pi(x), 1): pi(x) < 1.25506 x / log x for x > 1
-    (Rosser and Schoenfeld 1962)."""
-    return 1.25506 * x / math.log(x) if x > 1 else 1.0
+    """At least pi(x): pi(x) < 1.25506 x / log x for x > 1 (Rosser and
+    Schoenfeld 1962)."""
+    return 1.25506 * x / math.log(x)
+
+
+def _check_prime_max(prime_max: int):
+    """A truncation below the first prime is an empty product or sum,
+    which would stand in for a value."""
+    if prime_max < 2:
+        raise DomainError("prime bound must be at least 2")
 
 
 @lru_cache(maxsize=_A0_MEMO)
@@ -440,6 +448,7 @@ def prime_sum_diag(model: WeightModel, j: int, s: complex,
     (s,) = _as_point((s,)).s
     if not 0 <= j < model.k:
         raise DomainError("coordinate out of range")
+    _check_prime_max(prime_max)
     alpha_j = float(model.alpha_exact[j])
     unit = tuple(1 if i == j else 0 for i in range(model.k))
     re_parts: list[float] = []

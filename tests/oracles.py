@@ -1,8 +1,11 @@
 """Oracles that only the tests read: the divisor count tau_k, Stirling
-numbers of the first kind, the arcsine law, the simplex mass, and a
-Monte Carlo estimate of the Dirichlet rectangle CDF."""
+numbers of the first kind, the arcsine law, the uniform law on the
+simplex, the simplex mass, and a Monte Carlo estimate of the Dirichlet
+rectangle CDF."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -32,6 +35,21 @@ def arcsine(u):
     """The Dir(1/2, 1/2) CDF (2/pi) asin(sqrt(u)), at 30 digits."""
     with mpmath.workdps(30):
         return float(2 / mpmath.pi * mpmath.asin(mpmath.sqrt(mpmath.mpf(u))))
+
+
+def uniform_simplex_cdf(u):
+    """The Dir(1, ..., 1) rectangle CDF at u (k - 1 coordinates), exactly:
+    by inclusion-exclusion over the coordinates that exceed their bound,
+    F(u) = sum over subsets S of (-1)^|S| (1 - sum_(i in S) u_i)_+^(k-1),
+    with no quadrature and no incomplete beta function."""
+    u = [Fraction(c) for c in u]
+    total = Fraction(0)
+    for size in range(len(u) + 1):
+        for subset in itertools.combinations(u, size):
+            left = 1 - sum(subset)
+            if left > 0:
+                total += (-1) ** size * left ** len(u)
+    return total
 
 
 def simplex_mass(alpha, tol=1e-9):

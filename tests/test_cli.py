@@ -197,6 +197,27 @@ def test_out_of_domain_values_exit_2_with_one_error_line(capsys, argv,
     assert len(errors) == 1 and message in errors[0]
 
 
+@pytest.mark.parametrize("pmax", ["1", "0", "-5"])
+def test_series_prime_bound_below_2_exits_2(capsys, pmax):
+    for argv in (("series", "euler", "--s", "2,2", f"--pmax={pmax}"),
+                 ("series", "primesum", "--k", "2", "--j", "0", "--s", "2",
+                  f"--pmax={pmax}")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "Traceback" not in err
+        assert "prime bound must be at least 2" in err
+
+
+def test_perms_converge_refuses_n_0(capsys):
+    code, out, err = run(capsys, "perms", "converge", "--n", "0,5", "--k",
+                         "2")
+    assert code == 2 and not out and "Traceback" not in err
+    assert "n must be at least 1" in err
+    # the exact statistic keeps n = 0: the empty permutation, mass 1
+    code, out, _ = run(capsys, "perms", "exact", "--n", "0", "--k", "2",
+                       "--u", "1/2")
+    assert code == 0 and out.strip() == "1"
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # importing scipy.special takes about 0.27 s, more than the CLI itself
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -17,7 +17,8 @@ from dirlaw.dirichlet import (DirichletParams, RectQuery, cdf, cdf_many,
 from dirlaw.errors import (DomainError, IntegrityError, ResourceError,
                            SingularityError, UnsupportedError)
 from dirlaw.report import rect_grid
-from oracles import arcsine, cdf_monte_carlo, simplex_mass
+from oracles import (arcsine, cdf_monte_carlo, simplex_mass,
+                     uniform_simplex_cdf)
 
 ARCSINE = DirichletParams((0.5, 0.5))
 
@@ -138,6 +139,17 @@ def _box_oracle_k3(alpha, u):
 ])
 def test_cdf_k3_matches_box_integral(alpha, u):
     assert abs(cdf(alpha, u) - _box_oracle_k3(alpha, u)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cdf_uniform_law_matches_inclusion_exclusion(k):
+    # every depth of the recursion, k - 2 nested integrals, against an
+    # exact closed form; the continued fraction is the base case (b > 1)
+    corners = _grid(k, 10)
+    dirichlet._CACHE.clear()
+    got = cdf_many((1.0,) * k, corners, 1e-12)
+    for u, value in zip(corners, got):
+        assert abs(value - float(uniform_simplex_cdf(u))) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha,u", [
@@ -317,7 +329,7 @@ def _one_corner(alpha, u, tol=1e-9):
     if any(c == 0.0 for c in u):
         return 0.0
     prev = None
-    for level in range(3, dirichlet._MAX_LEVEL + 1):
+    for level in range(dirichlet._FIRST_LEVEL, dirichlet._MAX_LEVEL + 1):
         val = float(dirichlet._stick_breaking(alpha, np.array([u]), level)[0])
         if prev is not None and abs(val - prev) <= max(0.5 * tol, 4e-16):
             return min(val, 1.0) if val > 1.0 and val - 1.0 < tol else val
@@ -444,10 +456,11 @@ def test_cdf_cache_is_bounded(monkeypatch):
 
 
 def test_cdf_many_working_set_is_bounded():
-    """The 4,950 corners of the k = 3 grid of step 1/100 converge by level
-    4 or 5, and each level runs at most N rows (N nodes) per call: the
-    peak stays below one (corners x N) array of level 4, which one call
-    with every row would hold several times over."""
+    """The 4,950 corners of the k = 3 grid of step 1/100 (2,500 after
+    ordering) converge by level 3 or 4, and each level runs at most N rows
+    (N nodes) per call: the peak stays below one (corners x N) array of
+    level 4, which one call with every row would hold several times
+    over."""
     corners = _grid(3, 100)
     dirichlet._CACHE.clear()
     tracemalloc.start()

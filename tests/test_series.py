@@ -99,12 +99,12 @@ def test_euler_product_matches_direct_sum(k, s, nmax, pmax, vmax,
 @given(k=st.integers(1, 3), data=st.data())
 def test_euler_product_matches_direct_sum_property(k, data, sieve_small):
     # real points, each coordinate on its own; v_max from the smallest
-    # one that certifies the sub-1e-15 local tail, p_max from 1, where
-    # the tail takes its small-prime branch
+    # one that certifies the sub-1e-15 local tail, p_max from 2, the
+    # smallest bound allowed, where the tail takes its small-prime branch
     point = tuple(data.draw(st.lists(st.floats(1.6, 4.0), min_size=k,
                                      max_size=k)))
     nmax = data.draw(st.integers(1, {1: 2000, 2: 300, 3: 40}[k]))
-    pmax = data.draw(st.integers(1, 500))
+    pmax = data.draw(st.integers(2, 500))
     vmax = data.draw(st.integers(math.ceil(50 / min(point)), 40))
     direct, tail_d = d_direct(point, k, nmax, sieve_small)
     euler, tail_e = d_euler(point, k, pmax, vmax)
@@ -151,7 +151,7 @@ def test_series_guards(sieve_small):
         d_direct((2.0, 2.0, 2.0), 3, 100_000, sieve_small)  # cost guard
     with pytest.raises(DomainError):
         d_euler((2.0, 2.0), 2, 1000, 10)  # local tail not certified
-    for pmax, vmax in ((100, 100_000), (1, 10 ** 9)):
+    for pmax, vmax in ((100, 100_000), (2, 10 ** 9)):
         with pytest.raises(ResourceError):  # Euler-product cost guard
             d_euler((2.0, 2.0), 2, pmax, vmax)
     with pytest.raises(ResourceError):  # C(k v_max + k - 1, k - 1) > 1e308
@@ -170,6 +170,11 @@ def test_series_guards(sieve_small):
     with pytest.raises(DomainError):
         prime_sum_diag(parse_model("uniform", 2), 0, complex(2, math.nan),
                        100)
+    for pmax in (1, 0, -5):     # no prime: an empty product or sum
+        with pytest.raises(DomainError, match="prime bound"):
+            d_euler((2.0, 2.0), 2, pmax, 30)
+        with pytest.raises(DomainError, match="prime bound"):
+            prime_sum_diag(parse_model("uniform", 2), 0, 2.0, pmax)
 
 
 def plain_box_sum(axes, sieve):
