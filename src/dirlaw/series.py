@@ -169,34 +169,50 @@ def tau_box_sum(axes, sieve: SpfSieve) -> complex:
     about half of all products.  c * a_k is numpy's, so a complex sum
     may differ from the loop's in its last bits; a real one cannot.
 
-    The rows, in lexicographic order, go in blocks of at most
-    ``_BLOCK_CELLS`` cells (or one row).  ``_tau_grid`` gives a block's
-    tau_k, and ``_row_sums`` sums its rows at once, with a certificate
-    that makes each sum fsum's correctly rounded one; rows it cannot
-    certify go to fsum itself.  A box of one axis gets a leading axis
-    [1.0]; tau_k keeps the caller's k.
+    tau_k(u b) depends on a row only through its product
+    u = n_1 ... n_{k-1}, and a box has far fewer products than rows.  So
+    the rows go in order of u, in blocks of at most ``_BLOCK_CELLS``
+    cells (or one row).  The argsort that orders them is the one array of
+    8 B per row besides the row sums: u is freed once it is sorted, and
+    each block takes its rows' n_j and u again from the order.
+    ``_tau_grid`` gives tau_k for the first row of each product in a
+    block, from its n_j (so the sieve need only cover the axes), and
+    each row divides by its product's row of that grid.  ``_row_sums``
+    sums a block's rows at once, with a certificate that makes each sum
+    fsum's correctly rounded one; rows it cannot certify go to fsum
+    itself.  A box of one axis gets a leading axis [1.0]; tau_k keeps
+    the caller's k.
     """
     k = len(axes)
     axes = [[1.0]] * (2 - k) + list(axes)
     sizes = [len(ax) for ax in axes]
     if max(sizes) > sieve.limit:
         raise DomainError("sieve does not cover the box")
-    outer = [np.asarray(ax).astype(object) for ax in axes[:-1]]
+    if 0 in sizes:
+        return 0j
+    outer = [np.asarray(ax) for ax in axes[:-1]]
     last = np.asarray(axes[-1])
     comb = _comb_weights(k, sum(n.bit_length() for n in sizes) + 1)
-    _, exponent, cofactor = least_prime_powers(sieve, max(sizes))
-    tau_b = multiplicative_table(comb[exponent], cofactor)[1:sizes[-1] + 1]
+    exponent, cofactor = least_prime_powers(sieve, max(sizes))[1:]
+    tau_b = multiplicative_table(comb[exponent[:sizes[-1] + 1]],
+                                 cofactor[:sizes[-1] + 1])[1:]
     n_rows, step = math.prod(sizes[:-1]), max(1, _BLOCK_CELLS // sizes[-1])
+    u = np.ones(1, dtype=np.int64)
+    for size in sizes[:-1]:
+        u = np.multiply.outer(u, np.arange(1, size + 1)).ravel()
+    order = u.argsort()
+    del u
     re_rows, im_rows = array("d"), array("d")      # 8 B per row sum
     for lo in range(0, n_rows, step):
-        ns = np.unravel_index(np.arange(lo, min(lo + step, n_rows)),
-                              sizes[:-1])
+        ns = [i + 1 for i in np.unravel_index(order[lo:lo + step],
+                                              sizes[:-1])]
+        new = np.diff(math.prod(ns), prepend=0) > 0     # u ascends from 1
         c = 1.0
-        for ax, i in zip(outer, ns):
-            c = c * ax[i]
+        for ax, n in zip(outer, ns):
+            c = c * ax[n - 1].astype(object)
         terms = np.multiply.outer(np.array(c.tolist()), last)
-        terms /= _tau_grid([i + 1 for i in ns], tau_b, comb, sieve.spf,
-                           exponent, cofactor)
+        terms /= _tau_grid([n[new] for n in ns], tau_b, comb, sieve.spf,
+                           exponent, cofactor)[np.cumsum(new) - 1]
         re_rows.extend(_row_sums(terms.real))
         if np.iscomplexobj(terms):
             im_rows.extend(_row_sums(terms.imag))

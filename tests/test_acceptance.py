@@ -190,8 +190,9 @@ def test_criterion_10_weighted_box_sum(sieve_small):
     engine_S, _, _ = weighted_sum_S((float(bound), float(bound)), 2,
                                     sieve_small)
     tau2 = np.zeros(bound * bound + 1, dtype=np.int64)
-    for d in range(1, bound * bound + 1):
-        tau2[d:: d] += 1
+    for d in range(1, bound + 1):   # the divisor pairs (d, n / d), d^2 <= n
+        tau2[d * d] += 1
+        tau2[d * (d + 1):: d] += 2
     log_sq = [0.0, 0.0] + [math.log(d) ** 2 for d in range(2, bound + 1)]
     rows = []
     for d1 in range(2, bound + 1):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -227,8 +228,10 @@ def test_tau_box_sum_matches_plain_loop(axes, cells, sieve_small):
 @given(axes=boxes(ks=st.integers(3, 5), stack=3, real=True),
        data=st.data())
 def test_tau_box_sum_stacks_some_prefixes(axes, data, sieve_small):
-    """Blocks that start and end inside one prefix n_1 ... n_{k-2}, and
-    blocks that span several prefixes, bit for bit."""
+    """Blocks of fewer rows than a prefix n_1 ... n_{k-2} has, and blocks
+    of several prefixes' rows: the rows go in order of their products, so
+    block edges fall inside and between the rows of one product, bit for
+    bit."""
     rows, n_cols = len(axes[-2]), len(axes[-1])     # the rows of a prefix
     want = plain_box_sum(axes, sieve_small)
     for per in (data.draw(st.integers(1, rows - 1)),
@@ -247,6 +250,72 @@ def test_tau_box_sum_sieves_the_axes_not_their_products(axes):
     got = tau_box_sum(axes, build_spf_sieve(max(map(len, axes))))
     assert got == plain_box_sum(axes,
                                 build_spf_sieve(math.prod(map(len, axes))))
+
+
+@pytest.mark.parametrize("side, k", [(30, 3), (12, 4)])
+def test_tau_grid_sees_each_row_product_once(side, k, sieve_small):
+    """tau_k(u b) depends on a row only through u = n_1 ... n_{k-1}: the
+    row kernel gets one row per distinct product of the box (one block
+    here), and the sum is still the plain loop's, bit for bit."""
+    axes = [[math.sin(n + j) for n in range(side)] for j in range(k)]
+    with mock.patch.object(series, "_tau_grid",
+                           wraps=series._tau_grid) as grid:
+        got = tau_box_sum(axes, sieve_small)
+    seen = [u for call in grid.call_args_list
+            for u in math.prod(call.args[0]).tolist()]
+    products = {math.prod(row) for row in itertools.product(
+        range(1, side + 1), repeat=k - 1)}
+    assert sorted(seen) == sorted(products)
+    assert got == plain_box_sum(axes, sieve_small)
+
+
+def test_tau_box_sum_splits_a_product_between_blocks(sieve_small):
+    """The six rows of u = 12 in a 12 x 12 x 5 box: the first block ends
+    three rows into them, so both blocks take tau_k of u = 12."""
+    axes = [[math.cos(3 * n + j) for n in range(size)]
+            for j, size in enumerate((12, 12, 5))]
+    below = sum(a * b < 12 for a in range(1, 13) for b in range(1, 13))
+    with mock.patch.object(series, "_BLOCK_CELLS", (below + 3) * 5), \
+            mock.patch.object(series, "_tau_grid",
+                              wraps=series._tau_grid) as grid:
+        got = tau_box_sum(axes, sieve_small)
+    blocks = [set(math.prod(call.args[0]).tolist())
+              for call in grid.call_args_list]
+    assert [12 in b for b in blocks[:3]] == [True, True, False]
+    assert got == plain_box_sum(axes, sieve_small)
+
+
+@pytest.mark.parametrize("axes", [[[]], [[], [1.0, 2.0]], [[1.0, 2.0], []],
+                                  [[0.5], [], [2.0, 1j]]])
+def test_tau_box_sum_of_an_empty_box_is_zero(axes, sieve_small):
+    want = plain_box_sum(axes, sieve_small)
+    assert repr(tau_box_sum(axes, sieve_small)) == repr(want) == "0j"
+
+
+def test_tau_box_sum_traced_peak_per_row():
+    """A k = 2 box of 250,000 rows of 3 cells.  What lasts is the row
+    sums' ``array('d')`` (8 B per row, 8.5 with its growth), the argsort
+    order (8 B per row) and the sieve's int8 exponents and int32
+    cofactors (5 B per n).  The row products (8 B per row) live only
+    until the argsort, before any row sum.  So 16 B per row over the row
+    sums covers both phases.  With ``_BLOCK_CELLS`` at 2^12, one block
+    (1,365 rows) needs about 0.4 MB of its 0.5 MB allowance.  An object
+    copy of an axis (32 B per row), or the products or every row's
+    indices held beside the order (8 B per row), would break the bound.
+    (tracemalloc traces the block's Python floats one by one, about
+    14 s at 10^6 rows, hence the smaller box.)"""
+    n = 250_000
+    sieve = build_spf_sieve(n)
+    axes = [np.arange(1, n + 1) ** -2.0, [1.0, 0.5, 0.25]]
+    with mock.patch.object(series, "_BLOCK_CELLS", 1 << 12):
+        tau_box_sum([axes[0][:100], axes[1]], sieve)        # warm imports
+        tracemalloc.start()
+        try:
+            tau_box_sum(axes, sieve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 8.5 * n + 16 * n + 2 ** 19, peak / n
 
 
 def test_tau_grid_refuses_tau_past_the_exact_float_range():
