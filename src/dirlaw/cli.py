@@ -27,9 +27,9 @@ from .caches import get_irreducibles, get_spf_sieve  # noqa: F401
 from .dirichlet import cdf, density, sample_many
 from .errors import (DomainError, IntegrityError, ResourceError,
                      SingularityError, UnsupportedError)
-from .integers import (box_floors, convergence_study, exact_lhs,
-                       grid_bins, mc_corner, mc_lhs, sup_deviation,
-                       weighted_sum_S)
+from .integers import (box_floors, check_report_scale, convergence_study,
+                       exact_lhs, grid_bins, mc_corner, mc_lhs,
+                       sup_deviation, weighted_sum_S)
 from .perms import deviation_perm, lhs_perm_brute, lhs_perm_exact
 from .polyfield import check_statistic, deviation_poly, exact_lhs_poly
 from .report import (DeviationReport, convergence_csv, fmt,
@@ -200,10 +200,13 @@ def _cmd_dirichlet_sample(args) -> int:
 
 # -------------------------------------------------------------- integers
 
-def _sieve_for(*xs: int):
-    """The sieve covering every scale x, each checked x >= 1 first."""
+def _sieve_for(*xs: int, report: bool = False):
+    """The sieve covering every scale x, each checked x >= 1 first, and
+    for a deviation report x >= 2."""
     if min(xs) < 1:
         raise DomainError("x must be positive")
+    if report:
+        check_report_scale(min(xs))
     return get_spf_sieve(max(xs))
 
 
@@ -220,7 +223,7 @@ def _cmd_integers_run(args) -> int:
     model = _model_for(args, args.k)
     bins = grid_bins(args.grid)        # domain, before sieving
     rect_grid(model.k, args.grid)
-    sieve = _sieve_for(args.x)
+    sieve = _sieve_for(args.x, report=True)
     report = sup_deviation(args.x, model.k, model, args.grid, sieve)
     params = {"x": args.x, "k": model.k, "model": args.model,
               "grid": str(Fraction(args.grid)), "format": args.format}
@@ -242,7 +245,7 @@ def _cmd_integers_converge(args) -> int:
     model = _model_for(args, args.k)
     grid_bins(args.grid)               # domain, before sieving
     rect_grid(model.k, args.grid)
-    sieve = _sieve_for(*args.x)
+    sieve = _sieve_for(*args.x, report=True)
     reports = convergence_study(args.x, model.k, model, args.grid, sieve)
     params = {"x": list(args.x), "k": model.k, "model": args.model,
               "grid": str(Fraction(args.grid)), "format": args.format,

@@ -27,6 +27,11 @@ list alone; the float ``exact_lhs`` sums the in-box weight per n.
 row with probability G / G_sum.  Exact mode keeps a per-n recursion
 over Fractions as the oracle.
 
+Every path decides d <= n^(a/b) in ``_at_most_powers``: the ``np.log``
+ratio log d / log n where it lies farther than ``_BAND`` from a/b, the
+exact ``_at_most_power`` nearer, so all agree with d^b <= n^a by
+construction.
+
 The uniform k = 2 histogram skips the walker.  ``_inverse_tau`` fills
 1 / tau(n) in place from the sieve, block by block, and builds no other
 x-long table.  Every divisor pair (d, n) has d or n / d at most
@@ -38,6 +43,7 @@ the run from one cumsum.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,11 +72,10 @@ _PASS_TUPLES = 1 << 18     # tuples per walker pass, roughly
 _MC_BATCH = 1 << 14        # candidate n per Monte Carlo batch
 _MC_SAMPLES = 10 ** 8      # most Monte Carlo samples per estimate
 _TAU_BLOCK = 1 << 16       # most n per block of the uniform k = 2 weights
-# Tie guards: d = n^u holds exactly on a measure-zero set but hits every
-# perfect power; comparisons lean a hair toward inclusion so those ties
-# land on the <= side, matching the exact integer comparison d <= floor(n^u).
-_REL_GUARD = 1e-9
-_ABS_GUARD = 1e-12
+# Half-width of the band around an edge u in which a float ratio
+# log d / log n in [0, 1] (a few ulps off) does not decide d <= n^u; a
+# query corner within a relative _BAND of a bin edge reads the edge.
+_BAND = 1e-9
 
 
 @dataclass
@@ -104,15 +109,65 @@ class HistogramGrid:
         return self
 
 
-def _cells(r: np.ndarray, bins: int) -> np.ndarray:
-    """Bin indices for scaled positions r = v / w in [0, bins]."""
-    c = np.ceil(r * (1.0 - _REL_GUARD) - _ABS_GUARD).astype(np.int64) - 1
-    return np.minimum(np.maximum(c, 0, out=c), bins - 1, out=c)
+def _at_most_power(d: int, n: int, a: int, b: int) -> bool:
+    """Whether d <= n^(a/b) exactly, for integers d, n >= 1 and 0 <= a <= b.
+    In lowest terms, a tie d^b = n^a with d > 1 forces n = g^b >= 2^b:
+    integer powers decide every tie while b <= 64.  Past that n < 2^64 has
+    none, and decimal logs give the sign of b ln d - a ln n, their
+    precision doubled until it is certain."""
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if d == 1 or b <= 64:
+        return d == 1 or d ** b <= n ** a
+    prec = 24
+    while True:
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            left = b * decimal.Decimal(d).ln()
+            right = a * decimal.Decimal(n).ln()
+            # three roundings, each within half a unit of the last digit
+            if abs(left - right) > (left + right).scaleb(2 - prec):
+                return left < right
+        prec *= 2
+
+
+def _at_most_powers(r, n, j, b: int) -> np.ndarray:
+    """Whether d <= n^(j/b), over broadcast arrays of r = b log d / log n
+    (0 at n = 1), n and j.  The float r decides farther than b ``_BAND``
+    from j, ``_at_most_power`` nearer, with d = rint(n^(r/b)).  Edges 0
+    and 1 need neither: only d = 1 has r = 0, and every d | n is <= n."""
+    if np.ndim(j) == 0 and j in (0, b):
+        return r <= 0 if j == 0 else np.ones(np.shape(r), bool)
+    off = r - j
+    below = off <= 0
+    near = np.abs(off, out=off) < _BAND * b
+    if near.any():
+        at = np.flatnonzero(near)
+        e, m, q = (np.broadcast_to(a, below.shape).flat[at].tolist()
+                   for a in (r, n, j))
+        below.flat[at] = [_at_most_power(round(c ** (x / b)), c, int(p), b)
+                          for x, c, p in zip(e, map(int, m), q)]
+    return below
+
+
+def _cells(t, n, bins: int) -> np.ndarray:
+    """Bins of t = log d / log n, bin c holding (c/bins, (c+1)/bins] and
+    bin 0 also 0: the nearest interior edge j, less one if d <= n^(j/bins)
+    (broadcast as in ``_at_most_powers``)."""
+    r = t * bins
+    j = np.rint(r)
+    np.minimum(np.maximum(j, 1, out=j), bins - 1, out=j)
+    return j.astype(np.int64) - _at_most_powers(r, n, j, bins)
+
+
+def _log_inverse(n: np.ndarray) -> np.ndarray:
+    """1 / log n per n (0 at n = 1)."""
+    log_n = np.log(n)
+    return np.divide(1.0, log_n, out=np.zeros_like(log_n), where=log_n > 0)
 
 
 def _query_index(u: float, bins: int) -> int:
     """Largest bin whose upper edge is <= u (bin 0 always included)."""
-    i = math.floor(u * bins * (1.0 + _REL_GUARD) + _ABS_GUARD) - 1
+    i = math.floor(u * bins * (1.0 + _BAND)) - 1
     return max(0, min(i, bins - 1))
 
 
@@ -122,7 +177,7 @@ def empirical_cdf(grid: HistogramGrid, rect) -> float:
     Accepts corners with coordinates in [0, 1] without a simplex cap, so
     u = (1, ..., 1) reads off the total mass.  Bias is at most one bin
     shell; at exactly grid-aligned corners (multiples of the bin width)
-    it vanishes against the tie-guarded exact count.
+    it vanishes against the exact count.
     """
     if grid.cum is None:
         raise IntegrityError("histogram must be finalized before queries")
@@ -139,7 +194,7 @@ def empirical_cdf(grid: HistogramGrid, rect) -> float:
 class _Pass:
     """The n in one range with f(n) != 0 and their tuples.
 
-    Per n: ``n``, ``log_n`` (math.log, 0 at n = 1), ``f``, ``g_total``
+    Per n: ``n``, ``ln_inv`` (1 / log n, 0 at n = 1), ``f``, ``g_total``
     (the product of the local G sums) and ``start``, the index of its
     first tuple, plus the tuple count.  ``blocks`` yields once, per
     signature or part of one, ``(m, at, logd, g)``: the members (indices
@@ -149,7 +204,7 @@ class _Pass:
     """
 
     n: np.ndarray
-    log_n: np.ndarray
+    ln_inv: np.ndarray
     f: np.ndarray
     g_total: np.ndarray
     start: np.ndarray
@@ -203,7 +258,7 @@ class _LocalTables:
             key_table[i] = intern(float(f), float(sum(gs)), tuple(rows),
                                   tuple(float(g) for g in gs))
         self._table = np.concatenate([[0], key_table[key_of.reshape(-1)]])
-        self._logp = _log(np.concatenate([[1], p]))
+        self._logp = np.log(np.concatenate([[1], p]))
         entry_of = np.zeros(x + 1, dtype=np.int32)
         entry_of[pp] = np.arange(1, len(pp) + 1)
         self._entry = entry_of[power]
@@ -289,7 +344,7 @@ class _LocalTables:
         groups = np.split(order, np.flatnonzero(
             np.diff(sig[:, order]).any(axis=0)) + 1) if len(n) else []
         start = np.concatenate([[0], np.cumsum(np.maximum(sig, 1).prod(0))])
-        return _Pass(n, _log(n), f[keep], g_total[keep], start,
+        return _Pass(n, _log_inverse(n), f[keep], g_total[keep], start,
                      self._blocks(groups, steps, start))
 
     def _blocks(self, groups, steps, start):
@@ -311,11 +366,6 @@ class _LocalTables:
                     logd = (logd[:, :, None] + self._row_exps[:, None, row]
                             * logp[m]).reshape(self.k - 1, -1, len(m))
                 yield m, start[m] + np.arange(rows)[:, None], logd, g
-
-
-def _log(n: np.ndarray) -> np.ndarray:
-    """math.log of each n (0 at n = 1)."""
-    return np.fromiter(map(math.log, n.tolist()), float, len(n))
 
 
 def _walk_leaf_parts(fn: FactoredInteger, model: WeightModel):
@@ -346,32 +396,23 @@ def _walk_leaf_parts(fn: FactoredInteger, model: WeightModel):
     return out
 
 
-def _exact_thresholds(n: int, u: Sequence[Fraction]) -> list[int]:
-    """floor(n^(p/q)) per coordinate, verified by integer comparison."""
-    out = []
-    for frac in u:
-        p, q = frac.numerator, frac.denominator
-        if p >= q:
-            out.append(n)
-            continue
-        npow = n ** p
-        t = int(round(math.exp(math.log(n) * p / q))) if n > 1 else 1
-        while (t + 1) ** q <= npow:
-            t += 1
-        while t ** q > npow:
-            t -= 1
-        out.append(t)
-    return out
+def _floor_powers(n: np.ndarray, u: Fraction) -> list[int]:
+    """floor(n^u) per n >= 1: n^u in floats rounded to d, less one if
+    d > n^u."""
+    d = np.rint(np.exp(float(u) * np.log(n)))
+    r = np.log(d) * _log_inverse(n) * u.denominator
+    below = _at_most_powers(r, n, u.numerator, u.denominator)
+    return (d - ~below).astype(np.int64).tolist()
 
 
 def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
               exact: bool | None = None):
     """L(x, u) by full enumeration; Fraction in exact mode, float else.
 
-    Exact mode needs rational corners and x <= 1e7; it resolves each
-    boundary d <= n^(u) by exact integer power comparison.  The floating
-    path walks the histogram's tuples and uses the tie-guarded logarithm
-    comparison instead.
+    Exact mode needs rational corners and x <= 1e7; it compares each
+    part with floor(n^u) from ``_floor_powers``.  The floating path walks
+    the histogram's tuples and decides each part by ``_at_most_powers``.
+    Both decide d <= n^u exactly.
     """
     _check_engine_args(x, k, model, sieve)
     u = rect_fractions(rect, k)
@@ -383,24 +424,25 @@ def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
     if exact:
         num = Fraction(0)
         den = Fraction(0)
-        for n in range(1, x + 1):
-            fn = factorize(n, sieve)
-            f = model.f_value(fn)
-            if f == 0:
-                continue
-            f = Fraction(f)
-            den += f
-            thr = _exact_thresholds(n, u)
-            good = Fraction(0)
-            total = Fraction(0)
-            for parts, g in _walk_leaf_parts(fn, model):
-                total += g
-                if all(d <= t for d, t in zip(parts, thr)):
-                    good += g
-            if total == 0:
-                raise IntegrityError(
-                    f"model {model.model_id} vanishes on n={n} with f>0")
-            num += f * good / total
+        for lo, hi in _chunk_ranges(x):
+            floors = zip(*[_floor_powers(np.arange(lo, hi), c) for c in u])
+            for n, thr in zip(range(lo, hi), floors):
+                fn = factorize(n, sieve)
+                f = model.f_value(fn)
+                if f == 0:
+                    continue
+                f = Fraction(f)
+                den += f
+                good = Fraction(0)
+                total = Fraction(0)
+                for parts, g in _walk_leaf_parts(fn, model):
+                    total += g
+                    if all(d <= t for d, t in zip(parts, thr)):
+                        good += g
+                if total == 0:
+                    raise IntegrityError(
+                        f"model {model.model_id} vanishes on n={n} with f>0")
+                num += f * good / total
         if den == 0:
             raise IntegrityError("model weight f vanishes on [1, x]")
         return num / den
@@ -411,10 +453,11 @@ def exact_lhs(x: int, k: int, model: WeightModel, rect, sieve: SpfSieve,
     for chunks in _passes(tables, x):
         ps = tables.tuples(chunks[0][0], chunks[-1][1])
         kept = np.empty(ps.start[-1])       # G of in-box tuples, else 0
-        caps = np.array([float(c) * ps.log_n * (1.0 + _REL_GUARD)
-                         + _ABS_GUARD for c in u])
         for m, at, logd, g in ps.blocks:
-            kept[at] = np.where((logd <= caps[:, None, m]).all(axis=0), g, 0.0)
+            inside = [_at_most_powers(t * c.denominator, ps.n[m],
+                                      c.numerator, c.denominator)
+                      for c, t in zip(u, logd * ps.ln_inv[m])]
+            kept[at] = np.where(np.all(inside, axis=0), g, 0.0)
         owner = np.repeat(np.arange(len(ps.n)), np.diff(ps.start))
         good = np.bincount(owner, kept, minlength=len(ps.n))
         num_terms.append(ps.f * good / ps.g_total)
@@ -492,14 +535,13 @@ def _accumulate(x: int, k: int, model: WeightModel, bins: int,
         norm = 0.0
         for chunks in _passes(tables, x):
             ps = tables.tuples(chunks[0][0], chunks[-1][1])
-            ln_inv = np.divide(1.0, ps.log_n, out=np.zeros_like(ps.log_n),
-                               where=ps.log_n > 0.0)
             share = ps.f / ps.g_total
             cell = np.empty(ps.start[-1], dtype=np.int64)
             weights = np.empty(ps.start[-1])
             for m, at, logd, g in ps.blocks:
+                t = logd * ps.ln_inv[m]
                 cell[at] = np.ravel_multi_index(
-                    tuple(_cells(logd * ln_inv[m] * bins, bins)), shape)
+                    tuple(_cells(t, ps.n[m], bins)), shape)
                 weights[at] = g * share[m]
             cut = np.searchsorted(ps.n, [hi for _, hi in chunks[:-1]])
             ends = ps.start[cut].tolist()   # each chunk's tuples: one slice
@@ -561,10 +603,10 @@ def _k2_run_sums(x: int, bins: int, weight: np.ndarray) -> np.ndarray:
     d the bin falls as n = d t grows; along a row of fixed m, with
     d > isqrt(x), it rises with d.  So each bin of a row is a run of
     consecutive items, and its sum is a difference of one cumsum over the
-    row.  A bisection on the ``_cells`` rule itself counts, for every row
-    and edge j at once, the items on the low side of edge j (a falling
-    row numbers its bins from the top), so every pair lands in the bin
-    of its own comparison.
+    row.  A bisection on ``_at_most_powers``, the rule ``_cells`` applies,
+    counts for every row and edge j at once the items on the low side of
+    edge j (a falling row numbers its bins from the top), so every pair
+    lands in its own ``_cells`` bin.
     """
     split = math.isqrt(x)
     j = np.arange(1, bins)                    # the run ends between bins
@@ -584,9 +626,10 @@ def _k2_run_sums(x: int, bins: int, weight: np.ndarray) -> np.ndarray:
         for b in reversed(range(int(length.max(initial=0)).bit_length())):
             t = p + (1 << b)
             dt, n = pair(np.minimum(t, length))
-            c = _cells(np.log(dt.astype(np.float64))
-                       / np.log(n.astype(np.float64)) * bins, bins)
-            low = (c if rising else bins - 1 - c) <= j - 1
+            # the low side of edge j: bin <= j - 1, d <= n^(j/bins), on a
+            # rising row; bin >= bins - j, d > n^(1 - j/bins), on a falling
+            low = _at_most_powers(np.log(dt) / np.log(n) * bins, n,
+                                  j if rising else bins - j, bins) == rising
             p = np.where((t <= length) & low, t, p)
         ends = np.hstack([0 * length, p, length])
         cum = np.empty(ends.shape)            # run[ends] per row
@@ -605,11 +648,12 @@ def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
     """Grid sup of |L(x, u) - F(u)| over the step grid.
 
     The empirical side is a single enumeration pass binned at exactly
-    the grid resolution, which reproduces the pointwise tie-guarded
-    counts at every grid corner; the limit side is one ``cdf_many``
-    call over the grid.
+    the grid resolution, which reproduces the pointwise exact counts at
+    every grid corner; the limit side is one ``cdf_many`` call over the
+    grid.
     """
     _check_engine_args(x, k, model, sieve)
+    check_report_scale(x)
     step = Fraction(grid_step)
     grid = _accumulate(x, k, model, grid_bins(step), sieve)
     points = rect_grid(k, step)
@@ -620,6 +664,13 @@ def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
         [empirical_cdf(grid, uf) for uf in corners],
         cdf_many(model.alpha, corners, 1e-9),
         math.log(x) ** rate)
+
+
+def check_report_scale(x: int):
+    """Refuse x < 2 for a deviation report: its rate log(x)^r is 0 at
+    x = 1, so every scaled deviation would read 0."""
+    if x < 2:
+        raise DomainError("x must be at least 2 for a deviation report")
 
 
 def grid_bins(grid_step) -> int:
@@ -670,12 +721,10 @@ def mc_lhs(x: int, k: int, model: WeightModel, rect, n_samples: int,
         for entry in slots:
             entry = entry[keep]
             row = tables.draw(entry, rng.random(len(n)))
-            logp = tables._logp[entry]
-            for d, e in zip(logd, tables._row_exps):
-                d += e[row] * logp
-        log_n = _log(n)
-        inside = np.all([d <= c * log_n * (1.0 + _REL_GUARD) + _ABS_GUARD
-                         for c, d in zip(u, logd)], axis=0)
+            logd += tables._row_exps[:, row] * tables._logp[entry]
+        inside = np.all([_at_most_powers(t * c.denominator, n, c.numerator,
+                                         c.denominator)
+                         for c, t in zip(u, logd * _log_inverse(n))], axis=0)
         hits += int(np.count_nonzero(inside))
         got += len(n)
     p = hits / n_samples
@@ -683,8 +732,8 @@ def mc_lhs(x: int, k: int, model: WeightModel, rect, n_samples: int,
 
 
 def mc_corner(k: int, model: WeightModel, rect,
-              n_samples: int) -> list[float]:
-    """The corner as floats after ``mc_lhs``'s sieve-free checks."""
+              n_samples: int) -> list[Fraction]:
+    """The corner as fractions after ``mc_lhs``'s sieve-free checks."""
     if not model.f_bounded_by_one:
         raise UnsupportedError(
             "f-rejection sampling needs a model with f <= 1")
@@ -692,7 +741,7 @@ def mc_corner(k: int, model: WeightModel, rect,
         raise DomainError("sample count must be at least 1000")
     if n_samples > _MC_SAMPLES:
         raise ResourceError("sample count exceeds the 1e8 guard")
-    return [float(c) for c in rect_fractions(rect, k)]
+    return list(rect_fractions(rect, k))
 
 
 # ------------------------------------------------ weighted two-log moments

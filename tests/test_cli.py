@@ -218,6 +218,41 @@ def test_perms_converge_refuses_n_0(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_integer_reports_refuse_x_1_before_sieving(capsys, tmp_path,
+                                                   monkeypatch):
+    # the rate log(x)^r is 0 at x = 1, so every scaled deviation would read 0
+    monkeypatch.setenv("DIRLAW_CACHE", str(tmp_path))
+    for argv in (("run", "--x", "1", "--k", "2"),
+                 ("converge", "--x", "1,10", "--k", "2")):
+        code, out, err = run(capsys, "integers", *argv)
+        assert code == 2 and not out and "Traceback" not in err
+        assert "x must be at least 2 for a deviation report" in err
+    assert not list(tmp_path.glob("spf_*.bin"))
+    # the exact statistic keeps x = 1
+    code, out, _ = run(capsys, "integers", "exact", "--x", "1", "--k", "2",
+                       "--u", "1/2")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_integers_exact_corner_with_a_large_denominator(tmp_path):
+    """u = 123456789/10^9 needs no power n^123456789: below n = 275 only
+    d = 1 has d <= n^u, so the statistic is the mean of 1 / tau(n).  Run
+    in a child with a time limit, so a regression fails instead of
+    hanging."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "DIRLAW_CACHE": str(tmp_path), "PYTHONPATH":
+           os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = ("import sys\nfrom dirlaw.cli import main\nsys.exit(main("
+             "['integers', 'exact', '--x', '100', '--k', '2', '--u', "
+             "'0.123456789']))\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=20)
+    tau = [sum(n % d == 0 for d in range(1, n + 1)) for n in range(1, 101)]
+    want = sum(Fraction(1, t) for t in tau) / 100
+    assert done.returncode == 0, done.stderr
+    assert Fraction(done.stdout.strip()) == want == Fraction(17723, 63000)
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # importing scipy.special takes about 0.27 s, more than the CLI itself
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -464,9 +499,9 @@ def test_run_writes_csv_and_manifest(capsys, tmp_path, monkeypatch):
     code2, json2, _ = run(capsys, *argv)
     assert code == code2 == 0 and json1 == json2
 
-    # x = 1 is inside the domain: only n = 1, at the origin
+    # x = 1 has a zero rate factor log(x)^r, so no report is written
     code, out, _ = run(capsys, "integers", "run", "--x", "1", "--k", "2")
-    assert code == 0 and len(out.strip().split("\n")) == 21
+    assert code == 2 and not out
 
 
 def test_manifest_bytes_are_pinned(capsys, tmp_path, monkeypatch):

@@ -110,6 +110,51 @@ def test_float_mode_tracks_exact_mode(sieve_small):
             assert abs(float(ex) - fl) < 1e-12
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from([(s, k) for k in (2, 3) for s in (
+           "uniform", "squarefree", "two-squares", "nested", "coprime",
+           {2: "tau-weights:1/2;1,1", 3: "tau-weights:3/2;1,2,3"}[k])]
+           + [("residues:3", None), ("residues:4", None)]),
+       x=st.integers(1, 300), data=st.data())
+def test_both_modes_are_the_brute_definition(case, x, data, sieve_small):
+    """Corners a/b with b <= 30 put perfect powers on every edge; both
+    modes decide d <= n^(a/b) as the integer comparison d^b <= n^a."""
+    model = parse_model(*case)
+    u = []
+    for _ in range(model.k - 1):
+        b = data.draw(st.integers(1, 30))
+        u.append(Fraction(data.draw(st.integers(0, b)), b))
+    want = brute_lhs(x, model.k, model, u, sieve_small)
+    assert exact_lhs(x, model.k, model, u, sieve_small, exact=True) == want
+    fl = exact_lhs(x, model.k, model, u, sieve_small, exact=False)
+    assert abs(fl - float(want)) <= 1e-12, (case, x, u, fl, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 10 ** 8), b=st.integers(65, 300), data=st.data())
+def test_decimal_route_is_the_integer_comparison(n, b, data):
+    """Past b = 64 the predicate reads decimal logarithms; next to the
+    edge, d within one of n^(a/b), it agrees with d^b <= n^a."""
+    a = data.draw(st.integers(1, b))
+    d = max(1, round(n ** (a / b)) + data.draw(st.integers(-1, 1)))
+    assert integers._at_most_power(d, n, a, b) == (d ** b <= n ** a)
+
+
+@pytest.mark.parametrize("x,j", [(392128, 76), (729222, 81)])
+def test_histogram_bins_near_ties_by_integer_powers(x, j, sieve_1e6):
+    """The divisor pairs (17824, 392128) and (56094, 729222) lie within a
+    relative 1e-9 above the edges 76/100 and 81/100.  The contribution of
+    n = x to the 1/100 uniform k = 2 histogram at corner j/100 counts
+    exactly the divisors with d^100 <= x^j, each with weight 1/tau(x)."""
+    model = model_uniform(2)
+    total = [n * empirical_cdf(accumulate_histogram(n, 2, model, 100,
+                                                    sieve_1e6), (j / 100,))
+             for n in (x - 1, x)]
+    divisors = _divisors(x)
+    inside = sum(d ** 100 <= x ** j for d in divisors)
+    assert abs(total[1] - total[0] - inside / len(divisors)) <= 1e-6
+
+
 def test_full_box_and_n1_edge(sieve_small):
     model = parse_model("uniform", 2)
     assert exact_lhs(1, 2, model, (Fraction(0),), sieve_small) == 1
@@ -277,7 +322,8 @@ def _leaves_oracle(tables, lo, hi):
         logp = tables._logp[entry][owner]
         logd = [d[parent] + e[row] * logp
                 for d, e in zip(logd, tables._row_exps)]
-    return n, integers._log(n), f[keep], g_total[keep], owner, logd, g
+    log_n = np.fromiter(map(math.log, n.tolist()), float, len(n))
+    return n, log_n, f[keep], g_total[keep], owner, logd, g
 
 
 def _histogram_oracle(x, model, bins_list, sieve):
@@ -295,8 +341,7 @@ def _histogram_oracle(x, model, bins_list, sieve):
             cell = np.zeros(len(owner), dtype=np.int64)
             for d in logd:
                 r = d * ln_inv * bins       # ``_cells`` as it was, with clip
-                c = np.ceil(r * (1.0 - integers._REL_GUARD)
-                            - integers._ABS_GUARD).astype(np.int64) - 1
+                c = np.ceil(r * (1.0 - 1e-9) - 1e-12).astype(np.int64) - 1
                 cell = cell * bins + np.clip(c, 0, bins - 1)
             hist += np.bincount(cell, weights, hist.size).reshape(hist.shape)
         norm += math.fsum(f)
@@ -313,8 +358,7 @@ def _float_lhs_oracle(x, model, u, sieve):
         n, log_n, f, g_total, owner, logd, g = _leaves_oracle(tables, lo, hi)
         inside = np.ones(len(g), dtype=bool)
         for c, d in zip(u, logd):
-            caps = (float(c) * log_n * (1.0 + integers._REL_GUARD)
-                    + integers._ABS_GUARD)
+            caps = float(c) * log_n * (1.0 + 1e-9) + 1e-12
             inside &= d <= caps[owner]
         good = np.bincount(owner, weights=np.where(inside, g, 0.0),
                            minlength=len(n))
@@ -383,18 +427,16 @@ def _k2_pair_cells(x, bins):
     each binned on its own: the per-pair deposit of the k = 2 path
     before its run sums."""
     split = math.isqrt(x)
-    logn = np.zeros(x + 1)
-    logn[2:] = np.log(np.arange(2, x + 1, dtype=np.float64))
     for d in range(1, split + 1):
         n = np.arange(d, x + 1, d)
         n = n[n >= 2]
         d_arr = np.full(len(n), float(d))
-        yield integers._cells((np.log(d_arr) / logn[n]) * bins, bins), n
+        yield integers._cells(np.log(d_arr) / np.log(n), n, bins), n
     for m in range(1, x // (split + 1) + 1):
         d = np.arange(split + 1, x // m + 1, dtype=np.int64)
         n = d * m
-        yield integers._cells((np.log(d.astype(np.float64)) / logn[n])
-                              * bins, bins), n
+        yield integers._cells(np.log(d.astype(np.float64)) / np.log(n), n,
+                              bins), n
 
 
 @pytest.mark.parametrize("bins", [2, 3, 7, 10, 20, 25, 50, 100])

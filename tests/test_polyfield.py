@@ -319,6 +319,30 @@ def test_float_path_tends_to_perms_as_q_grows():
     assert gaps[1000003] < 1e-10
 
 
+@pytest.mark.parametrize("n,k", [(12, 2), (12, 3), (8, 4)])
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_perms_is_the_constant_term_in_one_over_q(n, k, data):
+    """The statistic reads q only through Gauss's irreducible counts, so
+    at fixed (n, k, u) it is a polynomial in z = 1/q of degree below n;
+    as q grows the irreducible factors split among the parts as cycles
+    do.  Interpolated exactly at the first n + 1 primes, its value at
+    z = 0 is the permutation statistic."""
+    caps = data.draw(st.lists(st.integers(0, n), min_size=k - 1,
+                              max_size=k - 1))
+    u = tuple(Fraction(c, n) for c in caps)
+    primes = [q for q in range(2, 50) if all(q % p for p in range(2, q))]
+    z = [Fraction(1, q) for q in primes[:n + 1]]
+    constant = Fraction(0)
+    for i, q in enumerate(primes[:n + 1]):
+        term = exact_lhs_poly(q, n, k, u)
+        for j, zj in enumerate(z):
+            if j != i:
+                term *= zj / (zj - z[i])
+        constant += term
+    assert constant == lhs_perm_exact(n, k, u)
+
+
 def test_deviation_poly_report():
     rep = deviation_poly(2, 8, 2, Fraction(1, 4))
     assert rep.kind == "polys" and rep.scale == 8
