@@ -30,10 +30,11 @@ from .errors import (DomainError, IntegrityError, ResourceError,
 from .integers import (box_floors, check_report_scale, convergence_study,
                        exact_lhs, grid_bins, mc_corner, mc_lhs,
                        sup_deviation, weighted_sum_S)
-from .perms import deviation_perm, lhs_perm_brute, lhs_perm_exact
+from .perms import (check_scale, deviation_perm, lhs_perm_brute,
+                    lhs_perm_exact)
 from .polyfield import check_statistic, deviation_poly, exact_lhs_poly
-from .report import (DeviationReport, convergence_csv, fmt,
-                     rect_fractions, rect_grid, report_csv)
+from .report import (DeviationReport, check_grid, convergence_csv, fmt,
+                     rect_fractions, report_csv)
 from .series import (a0_local_check, d_direct, d_euler, direct_point,
                      prime_sum_diag)
 
@@ -133,8 +134,7 @@ def _report_json(kind: str, reports: list[DeviationReport],
     else:
         rows = [{"u": [str(Fraction(c)) for c in u], "empirical": emp,
                  "limit": lim, "deviation": dev}
-                for u, emp, lim, dev in zip(last.points, last.empirical,
-                                            last.limit, last.deviation)]
+                for u, emp, lim, dev in last.rows()]
     body = {
         "kind": kind,
         "k": last.k,
@@ -150,27 +150,30 @@ def _report_json(kind: str, reports: list[DeviationReport],
     return json.dumps(body, indent=2) + "\n"
 
 
-def _summary(report: DeviationReport, to_stderr: bool) -> None:
-    at = ",".join(str(c) for c in report.arg_sup())
-    line = (f"scale={report.scale} sup_dev={fmt(report.sup_dev)} "
-            f"scaled_sup_dev={fmt(report.scaled_sup_dev)} arg_sup={at}")
-    print(line, file=sys.stderr if to_stderr else sys.stdout)
-
-
-def _emit_reports(reports: list[DeviationReport], args, kind: str,
-                  params: dict, bins: int | None) -> None:
-    """Write one grid report, or a convergence table for kind
-    "converge", then one summary line per report."""
+def _emit_reports(reports: list[DeviationReport], args, params: dict,
+                  bins: int | None = None) -> None:
+    """Write one grid report, or a convergence table for the verb
+    "converge", then one summary line per report.  The manifest records
+    ``params``, the grid, the format and, for a table, the engine."""
+    kind = "converge" if args.verb == "converge" else args.kind
+    params = {**params, "grid": str(Fraction(args.grid)),
+              "format": args.format}
+    if kind == "converge":
+        params["engine"] = args.kind
     if args.format == "json":
         payload = _report_json(kind, reports, bins)
     elif kind == "converge":
         payload = convergence_csv(reports)
     else:
         payload = report_csv(reports[-1])
-    to_stdout = getattr(args, "out", None) in (None, "-")
     _emit(payload, args, kind, params)
+    stream = sys.stderr if getattr(args, "out", None) in (None, "-") \
+        else sys.stdout             # the one the payload leaves
     for r in reports:
-        _summary(r, to_stderr=to_stdout)
+        at = ",".join(str(c) for c in r.arg_sup())
+        print(f"scale={r.scale} sup_dev={fmt(r.sup_dev)} "
+              f"scaled_sup_dev={fmt(r.scaled_sup_dev)} arg_sup={at}",
+              file=stream)
 
 
 # ------------------------------------------------------------- dirichlet
@@ -210,6 +213,16 @@ def _sieve_for(*xs: int, report: bool = False):
     return get_spf_sieve(max(xs))
 
 
+def _report_sieve(args, *xs: int):
+    """The model of an integer report and the sieve covering every x,
+    built after every check: the grid's, the law's alpha and each x's."""
+    model = _model_for(args, args.k)
+    grid_bins(args.grid)
+    check_grid(model.k, args.grid)
+    model.alpha                        # the DirichletParams check
+    return model, _sieve_for(*xs, report=True)
+
+
 def _cmd_integers_exact(args) -> int:
     model = _model_for(args, args.k)
     rect_fractions(args.u, model.k)    # domain, before sieving
@@ -220,14 +233,11 @@ def _cmd_integers_exact(args) -> int:
 
 
 def _cmd_integers_run(args) -> int:
-    model = _model_for(args, args.k)
-    bins = grid_bins(args.grid)        # domain, before sieving
-    rect_grid(model.k, args.grid)
-    sieve = _sieve_for(args.x, report=True)
+    model, sieve = _report_sieve(args, args.x)
     report = sup_deviation(args.x, model.k, model, args.grid, sieve)
-    params = {"x": args.x, "k": model.k, "model": args.model,
-              "grid": str(Fraction(args.grid)), "format": args.format}
-    _emit_reports([report], args, "integers", params, bins=bins)
+    _emit_reports([report], args,
+                  {"x": args.x, "k": model.k, "model": args.model},
+                  grid_bins(args.grid))
     return 0
 
 
@@ -242,15 +252,10 @@ def _cmd_integers_mc(args) -> int:
 
 
 def _cmd_integers_converge(args) -> int:
-    model = _model_for(args, args.k)
-    grid_bins(args.grid)               # domain, before sieving
-    rect_grid(model.k, args.grid)
-    sieve = _sieve_for(*args.x, report=True)
+    model, sieve = _report_sieve(args, *args.x)
     reports = convergence_study(args.x, model.k, model, args.grid, sieve)
-    params = {"x": list(args.x), "k": model.k, "model": args.model,
-              "grid": str(Fraction(args.grid)), "format": args.format,
-              "engine": "integers"}
-    _emit_reports(reports, args, "converge", params, bins=None)
+    _emit_reports(reports, args,
+                  {"x": list(args.x), "k": model.k, "model": args.model})
     return 0
 
 
@@ -271,20 +276,16 @@ def _cmd_polys_exact(args) -> int:
 
 def _cmd_polys_run(args) -> int:
     report = deviation_poly(args.q, args.n, args.k, args.grid)
-    params = {"q": args.q, "n": args.n, "k": args.k,
-              "grid": str(Fraction(args.grid)), "format": args.format}
-    _emit_reports([report], args, "polys", params, bins=None)
+    _emit_reports([report], args, {"q": args.q, "n": args.n, "k": args.k})
     return 0
 
 
 def _cmd_polys_converge(args) -> int:
-    for n in args.n:                   # every n, before the first table
+    for n in args.n:                   # every n, before the first limit
         check_statistic(args.q, n, args.k)
     reports = [deviation_poly(args.q, n, args.k, args.grid) for n in args.n]
-    params = {"q": args.q, "n": list(args.n), "k": args.k,
-              "grid": str(Fraction(args.grid)), "format": args.format,
-              "engine": "polys"}
-    _emit_reports(reports, args, "converge", params, bins=None)
+    _emit_reports(reports, args,
+                  {"q": args.q, "n": list(args.n), "k": args.k})
     return 0
 
 
@@ -301,11 +302,10 @@ def _cmd_perms_brute(args) -> int:
 
 
 def _cmd_perms_converge(args) -> int:
+    for n in args.n:                   # every n, before the first limit
+        check_scale(n, args.k, report=True)
     reports = [deviation_perm(n, args.k, args.grid) for n in args.n]
-    params = {"n": list(args.n), "k": args.k,
-              "grid": str(Fraction(args.grid)), "format": args.format,
-              "engine": "perms"}
-    _emit_reports(reports, args, "converge", params, bins=None)
+    _emit_reports(reports, args, {"n": list(args.n), "k": args.k})
     return 0
 
 

@@ -56,11 +56,11 @@ from .arith import (FactoredInteger, SpfSieve, WeightModel, compositions,
                     factorize, least_prime_powers, multiplicative_table)
 # cdf is unused: perfbench/tracer.py wraps it (test_tracer.py)
 from .dirichlet import cdf  # noqa: F401
-from .dirichlet import cdf_many
 from .errors import (DomainError, IntegrityError, ResourceError,
                      UnsupportedError)
-from .report import (DeviationReport, deviation_report, rect_fractions,
-                     rect_grid)
+# rect_grid is unused: perfbench/tracer.py wraps it (test_tracer.py)
+from .report import rect_grid  # noqa: F401
+from .report import DeviationReport, grid_report, rect_fractions
 from .series import tau_box_sum
 
 _EXACT_X_LIMIT = 10_000_000
@@ -649,21 +649,19 @@ def sup_deviation(x: int, k: int, model: WeightModel, grid_step,
 
     The empirical side is a single enumeration pass binned at exactly
     the grid resolution, which reproduces the pointwise exact counts at
-    every grid corner; the limit side is one ``cdf_many`` call over the
-    grid.
+    every grid corner; ``grid_report`` takes it after the limit.
     """
     _check_engine_args(x, k, model, sieve)
     check_report_scale(x)
-    step = Fraction(grid_step)
-    grid = _accumulate(x, k, model, grid_bins(step), sieve)
-    points = rect_grid(k, step)
-    corners = [tuple(float(c) for c in u) for u in points]
+    bins = grid_bins(grid_step)
+
+    def statistic(points):
+        grid = _accumulate(x, k, model, bins, sieve)
+        return [empirical_cdf(grid, u) for u in points]
+
     rate = min([1.0] + [float(a) for a in model.alpha_exact])
-    return deviation_report(
-        "integers", x, k, model.model_id, step, points,
-        [empirical_cdf(grid, uf) for uf in corners],
-        cdf_many(model.alpha, corners, 1e-9),
-        math.log(x) ** rate)
+    return grid_report("integers", x, k, model.model_id, model.alpha,
+                       grid_step, math.log(x) ** rate, statistic)
 
 
 def check_report_scale(x: int):

@@ -20,10 +20,10 @@ import numpy as np
 from .arith import Floats, Residues, rising_binoms, word_primes
 # cdf is unused: perfbench/tracer.py wraps it (test_tracer.py)
 from .dirichlet import cdf  # noqa: F401
-from .dirichlet import cdf_many
 from .errors import DomainError
-from .report import (DeviationReport, deviation_report, rect_fractions,
-                     rect_grid)
+# rect_grid is unused: perfbench/tracer.py wraps it (test_tracer.py)
+from .report import rect_grid  # noqa: F401
+from .report import DeviationReport, grid_report, rect_caps
 
 _MAX_N = 5000
 _MAX_K = 6
@@ -92,20 +92,25 @@ def lhs_perm_exact(n: int, k: int, rect):
     (sum_i m_i = n) has a denominator dividing D; double precision beyond
     (relative error well under 1e-9).
     """
-    return _corner(n, k, _caps(n, k, rect), n <= _EXACT_MAX_N)
+    check_scale(n, k)
+    return _corner(n, k, rect_caps(rect, k, n), n <= _EXACT_MAX_N)
 
 
-def _caps(n: int, k: int, rect) -> list[int]:
+def check_scale(n: int, k: int, report: bool = False):
+    """The domain of the statistic, 0 <= n <= 5000 and 2 <= k <= 6, and
+    n >= 1 for a deviation report: its rate n^(1/k) is 0 at n = 0, so
+    every scaled deviation would read 0."""
+    if report and n < 1:
+        raise DomainError("n must be at least 1 for a deviation report")
     if n < 0 or n > _MAX_N:
         raise DomainError(f"n must lie in [0, {_MAX_N}]")
     if not 2 <= k <= _MAX_K:
         raise DomainError(f"k must lie in [2, {_MAX_K}]")
-    return [math.floor(n * c) for c in rect_fractions(rect, k)]
 
 
-def _corner(n: int, k: int, caps: list[int], exact: bool):
+def _corner(n: int, k: int, caps: tuple[int, ...], exact: bool):
     """The statistic at one corner: a float, or a Fraction over k^n n!."""
-    binom, tail = _tail(n, k, (), exact), _tail(n, k, tuple(caps[1:]), exact)
+    binom, tail = _tail(n, k, (), exact), _tail(n, k, caps[1:], exact)
     ring = _ring(n, k, exact)
     value = ring.red(np.array([np.dot(b[: caps[0] + 1], t[n - caps[0]:][::-1])
                                for b, t in zip(binom.T, tail.T)]))
@@ -150,7 +155,8 @@ def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
     """
     if n > _BRUTE_MAX_N:
         raise DomainError(f"brute force needs n <= {_BRUTE_MAX_N}")
-    caps = _caps(n, k, rect)
+    check_scale(n, k)
+    caps = rect_caps(rect, k, n)
     total = Fraction(0)
     for ct in cycle_types(n):
         states: dict[tuple[int, ...], int] = {(0,) * (k - 1): 1}
@@ -171,23 +177,11 @@ def lhs_perm_brute(n: int, k: int, rect) -> Fraction:
 
 
 def deviation_perm(n: int, k: int, grid_step) -> DeviationReport:
-    """Grid sup of |mean statistic - Dir(1/k, ..., 1/k) CDF|.
-
-    The mean is the float chain's at every n.  The limit CDF of the
-    whole grid is one ``cdf_many`` call, taken first; it checks every
-    corner before it evaluates any, so a k it refuses evaluates no
-    corner.  The rate normalization is n^(1/k), the expected deviation
-    decay, so n must be at least 1: at n = 0 every scaled deviation
-    would read 0.
-    """
-    if n < 1:
-        raise DomainError("n must be at least 1 for a deviation report")
-    step = Fraction(grid_step)
-    points = rect_grid(k, step)
-    alpha = tuple(1.0 / k for _ in range(k))
-    limits = cdf_many(alpha, [tuple(float(c) for c in u) for u in points],
-                      1e-9)
-    return deviation_report(
-        "perms", n, k, "uniform", step, points,
-        [_corner(n, k, _caps(n, k, u), False) for u in points], limits,
-        n ** (1.0 / k))
+    """Grid sup of |mean statistic - Dir(1/k, ..., 1/k) CDF|, the mean
+    the float chain's at every n, after ``check_scale``.  The rate
+    normalization is n^(1/k), the expected deviation decay."""
+    check_scale(n, k, report=True)
+    return grid_report(
+        "perms", n, k, "uniform", (1.0 / k,) * k, grid_step, n ** (1.0 / k),
+        lambda points: [_corner(n, k, rect_caps(u, k, n), False)
+                        for u in points])

@@ -21,10 +21,10 @@ import numpy as np
 from .arith import Floats, Residues, smallest_prime_factor, word_primes
 # cdf is unused: perfbench/tracer.py wraps it (test_tracer.py)
 from .dirichlet import cdf  # noqa: F401
-from .dirichlet import cdf_many
 from .errors import DomainError, IntegrityError, ResourceError
-from .report import (DeviationReport, deviation_report, rect_fractions,
-                     rect_grid)
+# rect_grid is unused: perfbench/tracer.py wraps it (test_tracer.py)
+from .report import rect_grid  # noqa: F401
+from .report import DeviationReport, grid_report, rect_caps
 
 _MAX_Q = 13            # the irreducible sieve's int16 digit sums need it
 _TABLE_GUARD = 10 ** 8
@@ -294,28 +294,21 @@ def exact_lhs_poly(q: int, n: int, k: int, rect) -> Fraction:
     k-tuples (D_1, ..., D_k) with product F and deg D_i <= floor(n*u_i)
     for i < k.  Exact rational: one corner of ``_residue_table``,
     recombined by the Chinese remainder theorem."""
-    caps = tuple(math.floor(n * c) for c in rect_fractions(rect, k))
+    caps = rect_caps(rect, k, n)
     check_statistic(q, n, k, exact=True)
     bound, primes = _crt_basis(q, n, k)
     return Residues(primes).fraction(_residue_table(q, n, k)[caps], bound)
 
 
 def deviation_poly(q: int, n: int, k: int, grid_step) -> DeviationReport:
-    """Grid sup of |mean - Dir(1/k, ..., 1/k) CDF|.
-
-    One complex128 ``_corner_table`` serves every grid point; the limit
-    CDF of the whole grid is one ``cdf_many`` call, taken first, so a k
-    it refuses costs no table.  The rate normalization is n^(1/k),
-    matching the expected decay of the deviation.
-    """
+    """Grid sup of |mean - Dir(1/k, ..., 1/k) CDF| after ``check_statistic``,
+    one complex128 ``_corner_table`` serving every grid point; the rate
+    normalization n^(1/k) matches the expected decay of the deviation."""
     check_statistic(q, n, k)
-    step = Fraction(grid_step)
-    points = rect_grid(k, step)
-    alpha = tuple(1.0 / k for _ in range(k))
-    limits = cdf_many(alpha, [tuple(float(c) for c in u) for u in points],
-                      1e-9)
-    corners = _corner_table(q, n, k, Floats())[..., 0].real
-    return deviation_report(
-        "polys", n, k, f"q{q}-uniform", step, points,
-        [float(corners[tuple(math.floor(n * c) for c in u)])
-         for u in points], limits, n ** (1.0 / k))
+
+    def statistic(points):
+        corners = _corner_table(q, n, k, Floats())[..., 0].real
+        return [float(corners[rect_caps(u, k, n)]) for u in points]
+
+    return grid_report("polys", n, k, f"q{q}-uniform", (1.0 / k,) * k,
+                       grid_step, n ** (1.0 / k), statistic)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirlaw import cli, polyfield
+from dirlaw import cli, dirichlet, integers, polyfield
+from dirlaw.arith import build_spf_sieve, parse_model
 from dirlaw.cli import main
+from dirlaw.errors import DomainError
 
 
 def run(capsys, *argv):
@@ -218,6 +220,42 @@ def test_perms_converge_refuses_n_0(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_perms_converge_checks_every_n_before_any_limit(capsys,
+                                                       monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a limit corner was evaluated")
+
+    monkeypatch.setattr(dirichlet, "_CACHE", type(dirichlet._CACHE)())
+    monkeypatch.setattr(dirichlet, "_stick_breaking", refuse)
+    monkeypatch.setattr(dirichlet, "_betainc", refuse)
+    code, out, err = run(capsys, "perms", "converge", "--n", "5000,6000",
+                         "--k", "5", "--grid", "1/10")
+    assert code == 2 and not out and "Traceback" not in err
+    assert "n must lie in [0, 5000]" in err
+
+
+def test_integer_reports_refuse_the_law_before_the_walk(capsys, tmp_path,
+                                                        monkeypatch):
+    # tau-weights:1000000;1,1,1 has alpha_i = 1e6/3, above the 1e5 cap
+    monkeypatch.setenv("DIRLAW_CACHE", str(tmp_path))
+
+    def refuse(*args):
+        raise AssertionError("the walker ran")
+
+    monkeypatch.setattr(integers, "_accumulate", refuse)
+    law = ("--k", "3", "--model", "tau-weights:1000000;1,1,1", "--grid",
+           "1/10")
+    for argv in (("run", "--x", "300000"), ("converge", "--x", "3000,30000")):
+        code, out, err = run(capsys, "integers", *argv, *law)
+        assert code == 2 and not out and "Traceback" not in err
+        assert "every alpha_i must be at most 100000" in err
+    assert not list(tmp_path.glob("spf_*.bin"))
+    # the engine call, given its sieve, takes the limit before the walk
+    with pytest.raises(DomainError, match="at most 100000"):
+        cli.sup_deviation(3000, 3, parse_model(law[3], 3), Fraction(1, 10),
+                          build_spf_sieve(3000))
+
+
 def test_integer_reports_refuse_x_1_before_sieving(capsys, tmp_path,
                                                    monkeypatch):
     # the rate log(x)^r is 0 at x = 1, so every scaled deviation would read 0
@@ -360,7 +398,14 @@ def test_resource_error_exit_code(capsys, tmp_path, monkeypatch):
              "exceeds the 2.5e6 composition recursion guard"),
             (("integers", "mc", "--x", "1000", "--k", "2", "--u", "1/2",
               "--samples", "100000000000"),
-             "sample count exceeds the 1e8 guard")]:
+             "sample count exceeds the 1e8 guard"),
+            # C(100000, 2) and C(100, 4) corners, counted from the step
+            (("perms", "converge", "--n", "10", "--k", "3", "--grid",
+              "1/100000"), "grid corner count exceeds the 1e5 guard"),
+            (("polys", "run", "--q", "2", "--n", "4", "--k", "3", "--grid",
+              "1/100000"), "grid corner count exceeds the 1e5 guard"),
+            (("integers", "run", "--x", "1000", "--k", "5", "--grid",
+              "1/100"), "grid corner count exceeds the 1e5 guard")]:
         code, out, err = run(capsys, *argv)
         assert code == 3 and message in err and not out
     assert not (tmp_path / "spf_1000.bin").exists()

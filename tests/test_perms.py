@@ -10,6 +10,7 @@ from dirlaw.arith import rising_binoms
 from dirlaw.errors import DomainError
 from dirlaw.perms import (cycle_types, deviation_perm, lhs_perm_brute,
                           lhs_perm_exact)
+from dirlaw.report import rect_caps
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
@@ -202,5 +203,5 @@ def test_largest_exact_bound_matches_the_float_chain(k):
         u = u[:k - 1]
         exact = lhs_perm_exact(n, k, u)
         assert isinstance(exact, Fraction)
-        floats = perms._corner(n, k, perms._caps(n, k, u), False)
+        floats = perms._corner(n, k, rect_caps(u, k, n), False)
         assert abs(float(exact) - floats) <= 1e-14, (k, u)
